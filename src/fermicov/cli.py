@@ -31,7 +31,7 @@ from .errors import (
 from .fock import DenseOperator, DenseState, IsomorphismTag, covariance_of
 from .lindblad import (
     PIN_TOL,
-    PIVOT_TOL,
+    RESIDUAL_TOL,
     ErgodicityReport,
     SemigroupSpec,
     ergodicity,
@@ -218,7 +218,7 @@ def _metadata(spec: SemigroupSpec) -> dict:
         "tolerances": {
             "tau_struct": TAU_STRUCT,
             "tau_num": TAU_NUM,
-            "pivot_tol": PIVOT_TOL,
+            "residual_tol": RESIDUAL_TOL,
             "pin_tol": PIN_TOL,
         },
     }

@@ -15,7 +15,6 @@ stationary states.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,8 +45,8 @@ from .quasifree import (
     validate_small_covariance,
 )
 
-#: Relative pivot threshold below which the vectorized Lyapunov solve is singular.
-PIVOT_TOL = 1e-12
+#: Bound on |G M + M G* + P| / |P|, the only numerical gate on the stationary solve.
+RESIDUAL_TOL = 1e-10
 #: Covariance eigenvalues within this distance of 1 count as pinned-empty modes.
 PIN_TOL = 1e-7
 #: Eigenvalues of T_S closer than this are treated as one degenerate cluster.
@@ -247,25 +246,12 @@ def ergodicity_gauge_invariant(spec: GaugeInvariantSpec) -> ErgodicityReport:
 
 
 def _lyapunov_solve(drift: np.ndarray, pump: np.ndarray) -> np.ndarray:
-    """Unique Hermitian solution of G M + M G* = -P via Kronecker vectorization."""
-    n = drift.shape[0]
-    eye = np.eye(n)
-    a = np.kron(eye, drift) + np.kron(drift.conj(), eye)
-    with warnings.catch_warnings():
-        # exact singularity is an expected, handled outcome here
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(a)
-    diag = np.abs(np.diag(lu))
-    if diag.min() <= PIVOT_TOL * diag.max():
-        raise NonUniqueStationary(
-            f"vectorized Lyapunov operator is singular (pivot ratio {diag.min() / diag.max():.3e})"
-        )
-    x = scipy.linalg.lu_solve((lu, piv), -pump.flatten(order="F"))
-    m = x.reshape((n, n), order="F")
+    """Hermitian solution of G M + M G* = -P (Bartels-Stewart); callers gate uniqueness."""
+    m = scipy.linalg.solve_continuous_lyapunov(drift, -pump)
     m = (m + m.conj().T) / 2
     residual = _max_abs(drift @ m + m @ drift.conj().T + pump)
-    if residual > 1e-10 * max(_max_abs(pump), 1e-300):
-        raise NumericalFailure(f"stationary residual {residual:.3e} exceeds tolerance")
+    if not residual <= RESIDUAL_TOL * max(_max_abs(pump), 1e-300):
+        raise NumericalFailure(f"stationary residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e} |P|")
     return m
 
 
@@ -299,37 +285,34 @@ def stationary_gauge_invariant(spec: GaugeInvariantSpec) -> SmallCovarianceMatri
     return cov
 
 
-def _propagate_core(drift: np.ndarray, pump: np.ndarray, m0: np.ndarray, t: float) -> np.ndarray:
-    """M(t) for dM/dt = G M + M G* + P from M(0) = m0."""
-    if t == 0:
-        return m0.copy()
-    try:
-        m_inf = _lyapunov_solve(drift, pump)
-    except NonUniqueStationary:
-        m_inf = None
-    if m_inf is not None:
-        e = expm(t * drift)
-        out = e @ (m0 - m_inf) @ e.conj().T + m_inf
-    else:
-        # affine flow exponentiated on dimension n^2 + 1
-        n = drift.shape[0]
-        eye = np.eye(n)
-        a = np.kron(eye, drift) + np.kron(drift.conj(), eye)
-        aug = np.zeros((n * n + 1, n * n + 1), dtype=complex)
-        aug[: n * n, : n * n] = a
-        aug[: n * n, n * n] = pump.flatten(order="F")
-        e = expm(t * aug)
-        vec = e[: n * n, : n * n] @ m0.flatten(order="F") + e[: n * n, n * n]
-        out = vec.reshape((n, n), order="F")
-    return (out + out.conj().T) / 2
+def _affine_flow(drift: np.ndarray, pump: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """(E, Q) with M(t) = E M(0) E* + Q for dM/dt = G M + M G* + P.
+
+    The Van Loan block exp(h [[G, P], [0, -G*]]) = [[E_h, F], [0, E_h^-*]]
+    gives E_h and Q_h = F E_h* at a step h = t / 2^k with h |G|_1 <= 1, where
+    the growing e^(-h G*) block stays bounded; k doublings
+    (E, Q) <- (E^2, E Q E* + Q) then reach t.
+    """
+    n = drift.shape[0]
+    k = max(int(np.frexp(t * np.abs(drift).sum(axis=0).max(initial=0.0))[1]), 0)
+    block = np.block([[drift, pump], [np.zeros_like(drift), -drift.conj().T]])
+    f = expm((t / 2**k) * block)
+    e = f[:n, :n]
+    q = f[:n, n:] @ e.conj().T
+    for _ in range(k):
+        q = e @ q @ e.conj().T + q
+        e = e @ e
+    if not (np.all(np.isfinite(e)) and np.all(np.isfinite(q))):
+        raise NumericalFailure(f"affine flow overflowed within {k} doublings")
+    return e, q
 
 
 def propagate(spec: SemigroupSpec, m0: CovarianceMatrix, t: float) -> CovarianceMatrix:
     """Solve the covariance master equation up to time t >= 0.
 
-    Uses the closed form through the stationary point when the Lyapunov
-    operator is nonsingular, otherwise the exponentiated affine flow.  The
-    result is returned in the basis of ``m0``.
+    Applies the affine flow M(t) = E M(0) E* + Q from ``_affine_flow``,
+    whether or not the stationary state is unique.  The result is returned
+    in the basis of ``m0``.
     """
     if t < 0:
         raise ValueError("propagation time must be nonnegative")
@@ -339,7 +322,9 @@ def propagate(spec: SemigroupSpec, m0: CovarianceMatrix, t: float) -> Covariance
             f"initial covariance has {m0.mode_count} modes, spec has {spec.mode_count}"
         )
     m_maj = convert_basis(m0, BasisTag.MAJORANA).entries
-    out = _propagate_core(spec.drift, spec.pump, m_maj, float(t))
+    e, q = _affine_flow(spec.drift, spec.pump, float(t))
+    out = e @ m_maj @ e.conj().T + q
+    out = (out + out.conj().T) / 2
     cov = CovarianceMatrix(entries=out, basis=BasisTag.MAJORANA, mode_count=spec.mode_count)
     cov.validate()
     return convert_basis(cov, m0.basis)
@@ -352,8 +337,8 @@ def propagate_gauge_invariant(
 
     The small covariance block follows the same affine equation with the
     L x L drift and pump; the pairing block obeys
-    dA/dt = G0 A + A G0^T, so A(t) = e^(t G0) A(0) e^(t G0^T) and decays to 0
-    whenever the uniqueness criterion holds.
+    dA/dt = G0 A + A G0^T, so A(t) = E A(0) E^T with the same E = e^(t G0)
+    and decays to 0 whenever the uniqueness criterion holds.
     """
     if t < 0:
         raise ValueError("propagation time must be nonnegative")
@@ -362,8 +347,9 @@ def propagate_gauge_invariant(
     L = spec.mode_count
     if m0.mode_count != L or a_mat.shape != (L, L):
         raise StructureViolation("block sizes do not match the gauge-invariant spec")
-    m_t = _propagate_core(spec.drift0, spec.pump0, m0.entries, float(t))
-    e = expm(float(t) * spec.drift0)
+    e, q = _affine_flow(spec.drift0, spec.pump0, float(t))
+    m_t = e @ m0.entries @ e.conj().T + q
+    m_t = (m_t + m_t.conj().T) / 2
     a_t = e @ a_mat @ e.T
     out = SmallCovarianceMatrix(entries=m_t, mode_count=L)
     out.validate()

@@ -98,9 +98,13 @@ class TestStationary:
         path = write_model(tmp_path, json.loads(out))
         code, out, _ = run_cli("stationary", path)
         assert code == 0
-        section = json.loads(out)["stationary"]
+        report = json.loads(out)
+        section = report["stationary"]
         assert np.abs(np.array(section["occupations"]) - [0.6, 0.5, 0.5, 0.5, 0.4]).max() < 1e-10
         assert np.abs(np.array(section["currents"]) - 0.2).max() < 1e-10
+        tolerances = report["metadata"]["tolerances"]
+        assert set(tolerances) == {"tau_struct", "tau_num", "residual_tol", "pin_tol"}
+        assert tolerances["residual_tol"] == 1e-10
 
     def test_thermalization_matches_gibbs_occupations(self, tmp_path):
         code, out, _ = run_cli("model", "build", "thermalization", "--set", "length=3", "--set", "beta=1")

@@ -4,6 +4,7 @@ import pytest
 from fermicov import (
     BasisTag,
     NonUniqueStationary,
+    NumericalFailure,
     convert_basis,
     ergodicity,
     ergodicity_gauge_invariant,
@@ -40,6 +41,18 @@ def _zero_coupling_spec(rng, modes, bath_modes=1):
     theta = validate_coupling(np.zeros((2 * modes, 2 * bath_modes)), MAJ)
     m_b = random_covariance(rng, bath_modes)
     return make_semigroup(t, theta, m_b)
+
+
+def _vectorized_flow(spec, m0, t):
+    """M(t) from the affine flow exponentiated on the n^2 + 1 entries of (vec M, 1)."""
+    n = spec.drift.shape[0]
+    eye = np.eye(n)
+    aug = np.zeros((n * n + 1, n * n + 1), dtype=complex)
+    aug[: n * n, : n * n] = np.kron(eye, spec.drift) + np.kron(spec.drift.conj(), eye)
+    aug[: n * n, n * n] = spec.pump.flatten(order="F")
+    e = expm(t * aug)
+    vec = e[: n * n, : n * n] @ m0.flatten(order="F") + e[: n * n, n * n]
+    return vec.reshape((n, n), order="F")
 
 
 class TestPropagate:
@@ -87,6 +100,34 @@ class TestPropagate:
         eigs = np.linalg.eigvalsh(out.entries)
         assert eigs.min() > -1e-9 and eigs.max() < 1 + 1e-9
 
+    @pytest.mark.parametrize("t", [10.0, 300.0, 1000.0])
+    @pytest.mark.parametrize("unique", [False, True])
+    def test_matches_vectorized_flow_at_long_times(self, unique, t):
+        rng = np.random.default_rng(30)
+        if unique:
+            spec = random_semigroup(rng, 3, 2)
+        else:
+            spec = lift_gauge_invariant(star_model(3, 1.0, 0.5))
+        assert ergodicity(spec).unique_stationary == unique
+        m0 = convert_basis(random_covariance(rng, 3, beta=0.5), MAJ)
+        out = propagate(spec, m0, t).entries
+        assert np.abs(out - _vectorized_flow(spec, m0.entries, t)).max() < 1e-10
+
+    def test_time_zero_returns_initial_state(self):
+        rng = np.random.default_rng(31)
+        spec = lift_gauge_invariant(star_model(3, 1.0, 0.5))
+        m = convert_basis(random_covariance(rng, 3), MAJ).entries
+        # the output is Hermitian-symmetrized, so an exactly Hermitian m0 comes back bit for bit
+        m0 = validate_covariance((m + m.conj().T) / 2, MAJ)
+        assert np.array_equal(propagate(spec, m0, 0.0).entries, m0.entries)
+
+    def test_overflow_is_a_numerical_failure(self):
+        # the star's uncontrolled mode drifts under ~1000 doublings until the flow overflows
+        spec = lift_gauge_invariant(star_model(3, 1.0, 0.5))
+        m0 = validate_covariance(0.5 * np.eye(6), MAJ)
+        with np.errstate(all="ignore"), pytest.raises(NumericalFailure):
+            propagate(spec, m0, 1e300)
+
     def test_rejects_negative_time(self):
         rng = np.random.default_rng(2)
         spec = random_semigroup(rng, 2, 1)
@@ -110,6 +151,13 @@ class TestStationary:
         expected += 0.2j * (d - d.T)
         assert np.abs(small - expected).max() < 1e-11
         assert (pred.p1, pred.pm, pred.pL, pred.current) == (0.6, 0.5, 0.4, 0.2)
+
+    def test_two_bath_chain_full_space_at_length_40(self):
+        L = 40
+        gi, pred = two_bath_chain(ChainParams(length=L, theta1=1.3, theta_l=0.7, n1=0.9, n_l=0.2))
+        full = convert_basis(stationary(lift_gauge_invariant(gi)), CA).entries
+        assert np.abs(full[:L, :L] - pred.matrix(L)).max() < 1e-10
+        assert np.abs(full[:L, L:]).max() < 1e-10
 
     def test_star_not_unique(self):
         spec = lift_gauge_invariant(star_model(3, 1.0, 0.5))
