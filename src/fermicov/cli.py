@@ -168,13 +168,16 @@ def load_model(path: str) -> tuple[SemigroupSpec, dict]:
     has_preset, has_explicit = "preset" in data, "explicit" in data
     if has_preset == has_explicit:
         raise UsageError("model file must contain exactly one of 'preset' or 'explicit'")
-    if has_preset:
-        preset = data["preset"]
-        if not isinstance(preset, dict) or "name" not in preset:
-            raise UsageError("preset section needs a 'name'")
-        spec = build_preset_spec(preset["name"], dict(preset.get("parameters", {})))
-    else:
-        spec = _spec_from_explicit(data["explicit"])
+    try:
+        if has_preset:
+            preset = data["preset"]
+            if not isinstance(preset, dict) or "name" not in preset:
+                raise UsageError("preset section needs a 'name'")
+            spec = build_preset_spec(preset["name"], dict(preset.get("parameters", {})))
+        else:
+            spec = _spec_from_explicit(data["explicit"])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise UsageError(f"malformed model file: {exc}")
     return spec, data
 
 
@@ -299,19 +302,21 @@ def _initial_covariance(spec: SemigroupSpec, choice: str) -> CovarianceMatrix:
             data = json.load(fh)
         basis = BasisTag(data["basis"])
         return validate_covariance(matrix_from_json(data["m0"], "m0"), basis)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"--m0 must be stationary|mixed|vacuum or a covariance file: {exc}")
 
 
 def cmd_evolve(args, out, err) -> int:
-    if args.t_final <= 0:
-        raise UsageError("--t-final must be positive")
+    if not (np.isfinite(args.t_final) and args.t_final > 0):
+        raise UsageError("--t-final must be finite and positive")
     if args.samples < 1:
         raise UsageError("--samples must be at least 1")
     spec, _ = load_model(args.model)
-    report = ergodicity(spec)
-    m_inf = stationary(spec) if report.unique_stationary else None
-    m0 = _initial_covariance(spec, args.m0)
+    try:
+        m_inf = stationary(spec)
+    except NonUniqueStationary:
+        m_inf = None
+    m0 = m_inf if args.m0 == "stationary" and m_inf is not None else _initial_covariance(spec, args.m0)
     L = spec.mode_count
 
     header = ["t"]
@@ -335,6 +340,8 @@ def cmd_evolve(args, out, err) -> int:
 
 
 def cmd_oracle_compare(args, out, err) -> int:
+    if not (np.isfinite(args.t) and args.t >= 0):
+        raise UsageError("--t must be finite and nonnegative")
     spec, _ = load_model(args.model)
     L, K = spec.mode_count, spec.bath_modes
     if L > 3 or K > 2:

@@ -23,7 +23,7 @@ import scipy.linalg
 
 from .errors import StructureViolation, TooLarge, UnsupportedIso
 from .phase import BasisTag, HamiltonianMatrix, block_reduce, convert_basis, validate_qf
-from .quasifree import CovarianceMatrix
+from .quasifree import CovarianceMatrix, validate_covariance
 
 #: Largest total mode count realized densely (4096-dimensional matrices).
 N_DENSE_MAX = 12
@@ -173,7 +173,6 @@ def quasifree_state(m: CovarianceMatrix) -> DenseState:
     eigenvalues are clamped away from {0, 1} by 1e-12, so pinned covariances
     are realized up to that clamping error.
     """
-    m.validate()
     mc = convert_basis(m, BasisTag.CREATION_ANNIHILATION).entries
     L = m.mode_count
     q = validate_qf(mc - 0.5 * np.eye(2 * L), BasisTag.CREATION_ANNIHILATION)
@@ -183,7 +182,7 @@ def quasifree_state(m: CovarianceMatrix) -> DenseState:
     g = 0.5 * (np.log(0.5 + lam) - np.log(0.5 - lam))
     diag = np.concatenate([g, -g])
     t_entries = (u.entries * diag) @ u.entries.conj().T
-    t = HamiltonianMatrix(entries=t_entries, basis=BasisTag.CREATION_ANNIHILATION, mode_count=L)
+    t = validate_qf(t_entries, BasisTag.CREATION_ANNIHILATION)
     return gibbs_state(quadratic_hamiltonian(t, 1.0), 1.0)
 
 
@@ -280,8 +279,7 @@ def covariance_of(rho: DenseState) -> CovarianceMatrix:
         rho_fk = m @ f_ops[k]
         for l in range(2 * n):
             cov[k, l] = np.trace(rho_fk @ f_ops[l].conj().T)
-    cov = (cov + cov.conj().T) / 2
-    return CovarianceMatrix(entries=cov, basis=BasisTag.CREATION_ANNIHILATION, mode_count=n)
+    return validate_covariance((cov + cov.conj().T) / 2, BasisTag.CREATION_ANNIHILATION)
 
 
 def field_operator(coords, n: int) -> DenseOperator:

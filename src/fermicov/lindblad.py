@@ -41,7 +41,7 @@ from .phase import (
 from .quasifree import (
     CovarianceMatrix,
     SmallCovarianceMatrix,
-    validate_covariance,
+    full_from_small,
     validate_small_covariance,
 )
 
@@ -137,7 +137,6 @@ def make_gauge_invariant(t_s0, theta0, m_b0) -> GaugeInvariantSpec:
     if th0.shape[0] != t0.shape[0]:
         raise StructureViolation(f"coupling rows {th0.shape[0]} do not match {t0.shape[0]} modes")
     mb0 = m_b0 if isinstance(m_b0, SmallCovarianceMatrix) else validate_small_covariance(m_b0)
-    mb0.validate()
     if mb0.mode_count != th0.shape[1]:
         raise StructureViolation(
             f"bath covariance size {mb0.mode_count} does not match coupling columns {th0.shape[1]}"
@@ -154,13 +153,10 @@ def lift_gauge_invariant(gi: GaugeInvariantSpec) -> SemigroupSpec:
     zk = np.zeros((L, K))
     t_c = np.block([[gi.t_s0, zl], [zl, -gi.t_s0.conj()]])
     th_c = np.block([[gi.theta0, zk], [zk, -gi.theta0.conj()]])
-    mb0 = gi.m_b0.entries
-    zb = np.zeros((K, K))
-    mb_c = np.block([[mb0, zb], [zb, np.eye(K) - mb0.conj()]])
     return make_semigroup(
         validate_qf(t_c, BasisTag.CREATION_ANNIHILATION),
         validate_coupling(th_c, BasisTag.CREATION_ANNIHILATION),
-        validate_covariance(mb_c, BasisTag.CREATION_ANNIHILATION),
+        full_from_small(gi.m_b0),
     )
 
 
@@ -316,7 +312,6 @@ def propagate(spec: SemigroupSpec, m0: CovarianceMatrix, t: float) -> Covariance
     """
     if t < 0:
         raise ValueError("propagation time must be nonnegative")
-    m0.validate()
     if m0.mode_count != spec.mode_count:
         raise StructureViolation(
             f"initial covariance has {m0.mode_count} modes, spec has {spec.mode_count}"
@@ -342,7 +337,6 @@ def propagate_gauge_invariant(
     """
     if t < 0:
         raise ValueError("propagation time must be nonnegative")
-    m0.validate()
     a_mat = _as_matrix(a0)
     L = spec.mode_count
     if m0.mode_count != L or a_mat.shape != (L, L):
@@ -391,7 +385,6 @@ def support_decomposition(m_inf: CovarianceMatrix) -> tuple[int, int, Bogoliubov
     Block-reduces M - I/2 and counts covariance eigenvalues within ``PIN_TOL``
     of 1; the returned transform orders the pinned modes first.
     """
-    m_inf.validate()
     mc = convert_basis(m_inf, BasisTag.CREATION_ANNIHILATION)
     L = m_inf.mode_count
     q = validate_qf(mc.entries - 0.5 * np.eye(2 * L), BasisTag.CREATION_ANNIHILATION)

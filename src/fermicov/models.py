@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import StructureViolation
 from .lindblad import GaugeInvariantSpec, SemigroupSpec, make_gauge_invariant, make_semigroup
-from .phase import BasisTag, HamiltonianMatrix, validate_coupling
-from .quasifree import covariance_from_gibbs, validate_covariance, validate_small_covariance
+from .phase import BasisTag, HamiltonianMatrix, validate_coupling, validate_qf
+from .quasifree import covariance_from_gibbs, full_from_small, validate_small_covariance
 
 
 def _upper_shift(length: int) -> np.ndarray:
@@ -107,7 +107,6 @@ def thermalization_model(t_s: HamiltonianMatrix, beta: float) -> SemigroupSpec:
     reproduces the bath covariance exactly and the unique stationary state is
     the Gibbs covariance at inverse temperature beta, whatever t_s is.
     """
-    t_s.validate()
     L = t_s.mode_count
     theta = validate_coupling(1j * np.eye(2 * L), BasisTag.MAJORANA)
     m_b = covariance_from_gibbs(t_s, beta)
@@ -195,8 +194,7 @@ def xy_chain(params: XYParams) -> SemigroupSpec:
     c_t = params.h * np.eye(L) + 0.5 * (1 - params.kappa) * d + 0.5 * (1 + params.kappa) * d.T
     zl = np.zeros((L, L))
     t_maj = 0.5 * np.block([[zl, 1j * c_t], [-1j * c_t.T, zl]])
-    t_s = HamiltonianMatrix(entries=t_maj, basis=BasisTag.MAJORANA, mode_count=L)
-    t_s.validate()
+    t_s = validate_qf(t_maj, BasisTag.MAJORANA)
 
     c_th = np.zeros((L, 2))
     c_th[0, 0] = -0.5 * (1 + params.kappa) * params.theta1
@@ -206,10 +204,5 @@ def xy_chain(params: XYParams) -> SemigroupSpec:
         np.block([[zk, 1j * c_th], [-1j * c_th, zk]]), BasisTag.MAJORANA
     )
 
-    small = validate_small_covariance(np.diag([params.bath1, params.bath2]).astype(complex))
-    zb = np.zeros((2, 2))
-    m_b = validate_covariance(
-        np.block([[small.entries, zb], [zb, np.eye(2) - small.entries.conj()]]),
-        BasisTag.CREATION_ANNIHILATION,
-    )
+    m_b = full_from_small(validate_small_covariance(np.diag([params.bath1, params.bath2])))
     return make_semigroup(t_s, theta, m_b)

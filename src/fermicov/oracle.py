@@ -48,7 +48,7 @@ from .fock import (
     quadratic_hamiltonian,
 )
 from .lindblad import SemigroupSpec
-from .phase import BasisTag, HamiltonianMatrix, _max_abs, expm
+from .phase import BasisTag, HamiltonianMatrix, _max_abs, expm, validate_qf
 
 #: Largest system size whose superoperator (dimension 4^L) is built and applied.
 L_ORACLE_MAX = 6
@@ -222,7 +222,7 @@ def _joint_quadratic(spec: SemigroupSpec, lam: float) -> HamiltonianMatrix:
     t[np.ix_(sys_coords, sys_coords)] = spec.t_s.entries
     t[np.ix_(sys_coords, bath_coords)] = lam * spec.theta.entries
     t[np.ix_(bath_coords, sys_coords)] = lam * spec.theta.entries.conj().T
-    return HamiltonianMatrix(entries=t, basis=BasisTag.MAJORANA, mode_count=n)
+    return validate_qf(t, BasisTag.MAJORANA)
 
 
 def repeated_interaction_step(

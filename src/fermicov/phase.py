@@ -12,6 +12,10 @@ moves between the two representations by conjugation with
 applied with the size of the left (row) space on the left and the size of the
 right (column) space on the right.  S is 1/sqrt(2) times a unitary, so the
 conjugation preserves spectra and Hermiticity.
+
+A tagged value is validated once, by the function that builds it: a
+``validate_*`` constructor for caller data, each computation for its result.
+A function that receives a tagged value trusts its tag.
 """
 
 from __future__ import annotations
@@ -177,15 +181,13 @@ def convert_basis(m, target: BasisTag):
     """Re-express a structured matrix value in the ``target`` basis.
 
     Works for any tagged value with ``entries`` and ``basis`` fields
-    (Hamiltonian, coupling, Bogoliubov and covariance matrices).  The source
-    value is validated first; round trips reproduce the input.
+    (Hamiltonian, coupling, Bogoliubov and covariance matrices).  A pure
+    conversion: the tag is trusted, since the value was validated where it
+    was built.  Round trips reproduce the input.
     """
-    m.validate()
     if m.basis is target:
         return m
-    out = dataclasses.replace(m, entries=_convert_entries(m.entries, m.basis, target), basis=target)
-    out.validate()
-    return out
+    return dataclasses.replace(m, entries=_convert_entries(m.entries, m.basis, target), basis=target)
 
 
 def validate_qf(entries, basis: BasisTag) -> HamiltonianMatrix:
@@ -278,7 +280,6 @@ def block_reduce(t: HamiltonianMatrix) -> tuple[BogoliubovTransform, np.ndarray]
     conjugation; the zero eigenspace, where the pairing is ambiguous, is split
     through conjugation-fixed vectors (for T = 0 this yields the identity).
     """
-    t.validate()
     tc = convert_basis(t, BasisTag.CREATION_ANNIHILATION).entries
     n = t.mode_count
     w, v = scipy.linalg.eigh(tc)

@@ -129,8 +129,7 @@ def covariance_from_gibbs(t: HamiltonianMatrix, beta: float) -> CovarianceMatrix
     tc = convert_basis(t, BasisTag.CREATION_ANNIHILATION)
     w, v = scipy.linalg.eigh(tc.entries)
     occ = _logistic(2.0 * beta * w)
-    m = (v * occ) @ v.conj().T
-    return CovarianceMatrix(entries=m, basis=BasisTag.CREATION_ANNIHILATION, mode_count=t.mode_count)
+    return validate_covariance((v * occ) @ v.conj().T, BasisTag.CREATION_ANNIHILATION)
 
 
 def small_covariance_from_gibbs(t0, beta: float) -> SmallCovarianceMatrix:
@@ -140,8 +139,7 @@ def small_covariance_from_gibbs(t0, beta: float) -> SmallCovarianceMatrix:
     if res > _tol(t0):
         raise StructureViolation("gauge-invariant one-body matrix must be Hermitian", res)
     w, v = scipy.linalg.eigh(t0)
-    m = (v * _logistic(beta * w)) @ v.conj().T
-    return SmallCovarianceMatrix(entries=m, mode_count=t0.shape[0])
+    return validate_small_covariance((v * _logistic(beta * w)) @ v.conj().T)
 
 
 def _logistic(x: np.ndarray) -> np.ndarray:
@@ -160,8 +158,7 @@ def small_from_full(m: CovarianceMatrix) -> SmallCovarianceMatrix:
 
 
 def full_from_small(m0: SmallCovarianceMatrix) -> CovarianceMatrix:
-    """Gauge-invariant embedding [[M0, 0], [0, I - conj M0]]."""
-    m0.validate()
+    """Gauge-invariant embedding [[M0, 0], [0, I - conj M0]], valid whenever M0 is."""
     L = m0.mode_count
     zero = np.zeros((L, L))
     full = np.block([[m0.entries, zero], [zero, np.eye(L) - m0.entries.conj()]])

@@ -185,6 +185,15 @@ class TestEvolve:
         sums = [sum(float(x) for x in line.split(",")[1:3]) for line in lines[1:]]
         assert np.abs(np.array(sums) - sums[0]).max() < 1e-10
 
+        # a model with no unique stationary state prints no distance column either
+        code, out, _ = run_cli("model", "build", "star")
+        path = write_model(tmp_path, json.loads(out), name="star.json")
+        code, out, _ = run_cli("evolve", path, "--m0", "vacuum", "--t-final", "3", "--samples", "5")
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert lines[0].startswith("t,occ_1") and "distance" not in lines[0]
+        assert len(lines) == 7
+
 
 class TestOracleCompare:
     def test_small_explicit_model(self, tmp_path):
@@ -257,6 +266,56 @@ class TestExitCodes:
         doc["explicit"]["basis"] = "spherical"
         code, _, err = run_cli("check", write_model(tmp_path, doc))
         assert code == 1
+
+
+def _explicit_with(field, entries):
+    doc = explicit_doc(random_semigroup(np.random.default_rng(7), 1, 1))
+    doc["explicit"][field] = entries
+    return doc
+
+
+def _preset(**section):
+    return {"schema_version": 1, "preset": {"name": "one-end-chain", **section}}
+
+
+_CHAIN = _preset()
+_M0_EIGENVALUE_1_2 = 0.5 * np.eye(6, dtype=complex)
+_M0_EIGENVALUE_1_2[0, 3], _M0_EIGENVALUE_1_2[3, 0] = 0.7j, -0.7j
+
+BAD_INPUTS = {
+    # model data that fail their structural checks
+    "t_s not Hermitian": (_explicit_with("t_s", matrix_to_json([[0, 1j], [0, 0]])), None, ["check"]),
+    "m_b eigenvalue 1.5": (_explicit_with("m_b", matrix_to_json([[0.5, 1j], [-1j, 0.5]])), None, ["check"]),
+    "m0 eigenvalue 1.2": (
+        _CHAIN,
+        {"basis": "majorana", "m0": matrix_to_json(_M0_EIGENVALUE_1_2)},
+        ["evolve", "--t-final", "1", "--samples", "2"],
+    ),
+    # malformed files
+    "mode_count not a number": (_explicit_with("mode_count", "two"), None, ["check"]),
+    "length not a number": (_preset(parameters={"length": "x"}), None, ["check"]),
+    "length infinite": (_preset(parameters={"length": float("inf")}), None, ["check"]),
+    "parameters not an object": (_preset(parameters=[1, 2]), None, ["check"]),
+    "m0 file not an object": (_CHAIN, [1, 2], ["evolve", "--t-final", "1", "--samples", "2"]),
+    # bad times
+    "negative oracle time": (_CHAIN, None, ["oracle-compare", "--t=-1"]),
+    "nan oracle time": (_CHAIN, None, ["oracle-compare", "--t", "nan"]),
+    "nan final time": (_CHAIN, None, ["evolve", "--t-final", "nan", "--samples", "2"]),
+    "infinite final time": (_CHAIN, None, ["evolve", "--t-final", "inf", "--samples", "2"]),
+}
+
+
+class TestBadInputs:
+    @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+    def test_exits_one_with_an_error_line(self, case, tmp_path):
+        doc, m0_doc, args = BAD_INPUTS[case]
+        argv = [args[0], write_model(tmp_path, doc), *args[1:]]
+        if m0_doc is not None:
+            argv += ["--m0", write_model(tmp_path, m0_doc, name="m0.json")]
+        code, out, err = run_cli(*argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestPresets:

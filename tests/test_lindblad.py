@@ -1,10 +1,17 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from fermicov import (
     BasisTag,
+    BogoliubovTransform,
+    CouplingMatrix,
+    CovarianceMatrix,
+    HamiltonianMatrix,
     NonUniqueStationary,
     NumericalFailure,
+    SmallCovarianceMatrix,
     convert_basis,
     ergodicity,
     ergodicity_gauge_invariant,
@@ -30,7 +37,7 @@ from fermicov import (
 )
 from fermicov.models import ChainParams, chain_hamiltonian
 
-from conftest import random_covariance, random_qf, random_semigroup
+from conftest import random_coupling, random_covariance, random_qf, random_semigroup
 
 CA = BasisTag.CREATION_ANNIHILATION
 MAJ = BasisTag.MAJORANA
@@ -405,3 +412,52 @@ class TestChainPredictionAlgebra:
         _, up = two_bath_chain(ChainParams(4, 1.3, 0.7, 0.9, 0.2))
         _, down = two_bath_chain(ChainParams(4, 1.3, 0.7, 0.2, 0.9))
         assert up.current > 0 > down.current
+
+
+class TestValidateOnce:
+    """A tagged value is checked where it is built; its consumers trust the tag."""
+
+    @pytest.fixture
+    def validate_calls(self, monkeypatch):
+        calls = Counter()
+        for cls in (
+            HamiltonianMatrix,
+            CouplingMatrix,
+            BogoliubovTransform,
+            CovarianceMatrix,
+            SmallCovarianceMatrix,
+        ):
+
+            def counted(self, *args, _original=cls.validate, **kwargs):
+                calls[type(self).__name__] += 1
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "validate", counted)
+        return calls
+
+    def test_convert_basis_makes_no_checks(self, validate_calls):
+        rng = np.random.default_rng(20)
+        spec = random_semigroup(rng, 2, 1)
+        u = BogoliubovTransform(entries=np.eye(4, dtype=complex), basis=CA)
+        values = [spec.t_s, spec.theta, spec.m_b, u]
+        validate_calls.clear()
+        for value in values:
+            convert_basis(convert_basis(value, CA), MAJ)
+        assert validate_calls == {}
+
+    def test_propagate_checks_its_result_once(self, validate_calls):
+        rng = np.random.default_rng(21)
+        spec = random_semigroup(rng, 3, 1)
+        m0 = random_covariance(rng, 3)
+        assert m0.basis is CA
+        validate_calls.clear()
+        out = propagate(spec, m0, 1.0)
+        assert out.basis is CA
+        assert validate_calls == {"CovarianceMatrix": 1}
+
+    def test_make_semigroup_trusts_tagged_inputs(self, validate_calls):
+        rng = np.random.default_rng(22)
+        t_s, theta, m_b = random_qf(rng, 2), random_coupling(rng, 2, 1), random_covariance(rng, 1)
+        validate_calls.clear()
+        make_semigroup(t_s, theta, m_b)
+        assert validate_calls == {}
