@@ -64,6 +64,7 @@ from .lindblad import (
     make_semigroup,
     propagate,
     propagate_gauge_invariant,
+    propagate_series,
     real_case_kalman,
     stationary,
     stationary_gauge_invariant,

@@ -34,10 +34,12 @@ from .lindblad import (
     RESIDUAL_TOL,
     ErgodicityReport,
     SemigroupSpec,
+    _stationary_given,
     ergodicity,
     lift_gauge_invariant,
     make_semigroup,
     propagate,
+    propagate_series,
     stationary,
 )
 from .oracle import build_lindbladian, evolve_dense
@@ -48,6 +50,8 @@ SCHEMA_VERSION = 1
 
 _INPUT_ERRORS = (StructureViolation, TooLarge, UnsupportedIso)
 _NUMERIC_ERRORS = (NumericalFailure, NonUniqueStationary, WordTooLong, NotPSD)
+#: What building a spec from malformed file or --set values raises.
+_MALFORMED_ERRORS = (TypeError, ValueError, OverflowError)
 
 
 class UsageError(Exception):
@@ -138,17 +142,23 @@ PRESETS = {
 }
 
 
-def build_preset_spec(name: str, parameters: dict) -> SemigroupSpec:
+def _preset_parameters(name: str, parameters: dict) -> dict:
+    """The preset's defaults overridden by ``parameters``, with an integer length."""
     if name not in PRESETS:
         raise UsageError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
-    defaults, builder = PRESETS[name]
+    defaults, _ = PRESETS[name]
     unknown = set(parameters) - set(defaults)
     if unknown:
         raise UsageError(f"preset {name!r} does not accept parameters {sorted(unknown)}")
     merged = {**defaults, **parameters}
     if "length" in merged:
         merged["length"] = int(merged["length"])
-    return builder(merged)
+    return merged
+
+
+def build_preset_spec(name: str, parameters: dict) -> SemigroupSpec:
+    merged = _preset_parameters(name, parameters)
+    return PRESETS[name][1](merged)
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +186,7 @@ def load_model(path: str) -> tuple[SemigroupSpec, dict]:
             spec = build_preset_spec(preset["name"], dict(preset.get("parameters", {})))
         else:
             spec = _spec_from_explicit(data["explicit"])
-    except (TypeError, ValueError, OverflowError) as exc:
+    except _MALFORMED_ERRORS as exc:
         raise UsageError(f"malformed model file: {exc}")
     return spec, data
 
@@ -274,7 +284,7 @@ def cmd_check(args, out, err) -> int:
 def cmd_stationary(args, out, err) -> int:
     spec, _ = load_model(args.model)
     report = ergodicity(spec)
-    m_inf = stationary(spec)
+    m_inf = _stationary_given(spec, report)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "stationary",
@@ -325,16 +335,14 @@ def cmd_evolve(args, out, err) -> int:
     if m_inf is not None:
         header.append("distance")
     out.write(",".join(header) + "\n")
-    for j in range(args.samples + 1):
-        t = args.t_final * j / args.samples
-        m_t = propagate(spec, m0, t)
+    series = propagate_series(spec, m0, args.t_final / args.samples, args.samples)
+    for j, m_t in enumerate(series):
         small = small_from_full(m_t).entries
-        row = [_fmt(t)]
+        row = [_fmt(args.t_final * j / args.samples)]
         row += [_fmt(x) for x in small.diagonal().real]
         row += [_fmt(x) for x in np.diag(small, 1).imag]
         if m_inf is not None:
-            maj_t = convert_basis(m_t, BasisTag.MAJORANA).entries
-            row.append(_fmt(np.abs(maj_t - m_inf.entries).max()))
+            row.append(_fmt(np.abs(m_t.entries - m_inf.entries).max()))
         out.write(",".join(row) + "\n")
     return 0
 
@@ -342,6 +350,8 @@ def cmd_evolve(args, out, err) -> int:
 def cmd_oracle_compare(args, out, err) -> int:
     if not (np.isfinite(args.t) and args.t >= 0):
         raise UsageError("--t must be finite and nonnegative")
+    if not (np.isfinite(args.max_deviation) and args.max_deviation >= 0):
+        raise UsageError("--max-deviation must be finite and nonnegative")
     spec, _ = load_model(args.model)
     L, K = spec.mode_count, spec.bath_modes
     if L > 3 or K > 2:
@@ -381,11 +391,11 @@ def cmd_model_build(args, out, err) -> int:
             parameters[key] = float(value)
         except ValueError:
             raise UsageError(f"parameter {key!r} has non-numeric value {value!r}")
-    build_preset_spec(args.preset, parameters)  # validate now
-    defaults, _ = PRESETS[args.preset]
-    merged = {**defaults, **parameters}
-    if "length" in merged:
-        merged["length"] = int(merged["length"])
+    try:
+        merged = _preset_parameters(args.preset, parameters)
+        PRESETS[args.preset][1](merged)  # validate now
+    except _MALFORMED_ERRORS as exc:
+        raise UsageError(f"malformed preset parameters: {exc}")
     doc = {
         "schema_version": SCHEMA_VERSION,
         "preset": {"name": args.preset, "parameters": merged},

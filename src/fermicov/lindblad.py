@@ -7,6 +7,9 @@ which obeys the affine master equation (Majorana basis)
           = G M + M G* + P,
 
 with drift G = -i T_S - 1/2 Theta Theta* and pump P = Theta M_B Theta*.
+The flow over a time step dt is affine, M(t + dt) = E_dt M(t) E_dt* + Q_dt,
+so a time series on an evenly spaced grid steps one (E_dt, Q_dt) through the
+semigroup law (``propagate_series``); ``propagate`` is its single-step case.
 Uniqueness of the stationary solution, convergence, and the controllability
 (Kalman) rank criterion are decided here, together with the gauge-invariant
 reduction to L x L data and the support decomposition of degenerate
@@ -15,6 +18,7 @@ stationary states.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -257,7 +261,11 @@ def stationary(spec: SemigroupSpec) -> CovarianceMatrix:
     Raises NonUniqueStationary when the uniqueness criterion fails; that is a
     property of the model, not a numerical defect.
     """
-    report = ergodicity(spec)
+    return _stationary_given(spec, ergodicity(spec))
+
+
+def _stationary_given(spec: SemigroupSpec, report: ErgodicityReport) -> CovarianceMatrix:
+    """``stationary`` for a caller that already holds the spec's ergodicity report."""
     if not report.unique_stationary:
         raise NonUniqueStationary(
             f"controllability rank {report.kalman_rank} < {2 * spec.mode_count}"
@@ -303,26 +311,45 @@ def _affine_flow(drift: np.ndarray, pump: np.ndarray, t: float) -> tuple[np.ndar
     return e, q
 
 
-def propagate(spec: SemigroupSpec, m0: CovarianceMatrix, t: float) -> CovarianceMatrix:
-    """Solve the covariance master equation up to time t >= 0.
+def propagate_series(
+    spec: SemigroupSpec, m0: CovarianceMatrix, dt: float, steps: int
+) -> Iterator[CovarianceMatrix]:
+    """Yield M(0), M(dt), ..., M(steps dt) in the Majorana basis.
 
-    Applies the affine flow M(t) = E M(0) E* + Q from ``_affine_flow``,
-    whether or not the stationary state is unique.  The result is returned
-    in the basis of ``m0``.
+    Computes one affine flow (E, Q) over dt with ``_affine_flow`` and steps
+    it by the semigroup law M((j+1) dt) = E M(j dt) E* + Q, whether or not
+    the stationary state is unique.  M(0) is ``m0``, trusted by its tag;
+    every stepped state is Hermitian-symmetrized and validated.  The checks
+    on dt and m0 run when iteration starts.
     """
-    if t < 0:
+    if dt < 0:
         raise ValueError("propagation time must be nonnegative")
     if m0.mode_count != spec.mode_count:
         raise StructureViolation(
             f"initial covariance has {m0.mode_count} modes, spec has {spec.mode_count}"
         )
-    m_maj = convert_basis(m0, BasisTag.MAJORANA).entries
-    e, q = _affine_flow(spec.drift, spec.pump, float(t))
-    out = e @ m_maj @ e.conj().T + q
-    out = (out + out.conj().T) / 2
-    cov = CovarianceMatrix(entries=out, basis=BasisTag.MAJORANA, mode_count=spec.mode_count)
-    cov.validate()
-    return convert_basis(cov, m0.basis)
+    e, q = _affine_flow(spec.drift, spec.pump, float(dt))
+    e_adj = e.conj().T
+    m = convert_basis(m0, BasisTag.MAJORANA)
+    yield m
+    for _ in range(steps):
+        out = e @ m.entries @ e_adj + q
+        m = CovarianceMatrix(
+            entries=(out + out.conj().T) / 2, basis=BasisTag.MAJORANA, mode_count=spec.mode_count
+        )
+        m.validate()
+        yield m
+
+
+def propagate(spec: SemigroupSpec, m0: CovarianceMatrix, t: float) -> CovarianceMatrix:
+    """Solve the covariance master equation up to time t >= 0.
+
+    The single-step case of ``propagate_series``: one affine flow over t,
+    applied once and validated once.  The result is returned in the basis
+    of ``m0``.
+    """
+    *_, m_t = propagate_series(spec, m0, t, 1)
+    return convert_basis(m_t, m0.basis)
 
 
 def propagate_gauge_invariant(

@@ -1,5 +1,6 @@
 import io
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -118,6 +119,24 @@ class TestStationary:
         expected = small_covariance_from_gibbs(chain_hamiltonian(3), 1.0).entries.diagonal().real
         assert np.abs(got - expected).max() < 1e-10
 
+    def test_one_ergodicity_report_per_run(self, tmp_path, monkeypatch):
+        import fermicov.cli
+        import fermicov.lindblad
+
+        calls = []
+
+        def counted(spec, _original=fermicov.lindblad.ergodicity):
+            calls.append(spec)
+            return _original(spec)
+
+        monkeypatch.setattr(fermicov.lindblad, "ergodicity", counted)
+        monkeypatch.setattr(fermicov.cli, "ergodicity", counted)
+        code, out, _ = run_cli("model", "build", "two-bath-chain")
+        path = write_model(tmp_path, json.loads(out))
+        code, _, _ = run_cli("stationary", path)
+        assert code == 0
+        assert len(calls) == 1
+
     def test_star_exits_two(self, tmp_path):
         code, out, _ = run_cli("model", "build", "star")
         path = write_model(tmp_path, json.loads(out))
@@ -193,6 +212,72 @@ class TestEvolve:
         lines = out.strip().splitlines()
         assert lines[0].startswith("t,occ_1") and "distance" not in lines[0]
         assert len(lines) == 7
+
+
+def _evolve_rows(path, m0, t_final, samples):
+    code, out, _ = run_cli("evolve", path, "--m0", m0, "--t-final", t_final, "--samples", str(samples))
+    assert code == 0
+    return np.array([[float(x) for x in line.split(",")] for line in out.strip().splitlines()[1:]])
+
+
+class TestSteppedSeries:
+    """evolve steps one affine flow; each row must equal a fresh propagate to its time."""
+
+    @pytest.mark.parametrize("start", ["mixed", "vacuum"])
+    @pytest.mark.parametrize("name,t_final", [("two-bath-chain", "7"), ("xy", "9"), ("star", "40")])
+    def test_rows_match_propagate(self, name, t_final, start, tmp_path):
+        from fermicov import (
+            NonUniqueStationary,
+            propagate,
+            small_from_full,
+            stationary,
+            validate_covariance,
+        )
+
+        code, out, _ = run_cli("model", "build", name)
+        path = write_model(tmp_path, json.loads(out))
+        rows = _evolve_rows(path, start, t_final, 25)
+        assert len(rows) == 26
+        spec, _ = load_model(path)
+        L = spec.mode_count
+        if start == "mixed":
+            m0 = validate_covariance(0.5 * np.eye(2 * L), BasisTag.MAJORANA)
+        else:
+            m0 = validate_covariance(np.diag(np.r_[np.ones(L), np.zeros(L)]), CA)
+        try:
+            m_inf = stationary(spec)
+        except NonUniqueStationary:
+            m_inf = None
+        assert (m_inf is None) == (name == "star")
+        for row in rows:
+            m_t = propagate(spec, m0, row[0])
+            small = small_from_full(m_t).entries
+            expected = [row[0], *small.diagonal().real, *np.diag(small, 1).imag]
+            if m_inf is not None:
+                maj_t = convert_basis(m_t, BasisTag.MAJORANA).entries
+                expected.append(np.abs(maj_t - m_inf.entries).max())
+            assert np.abs(row - expected).max() < 1e-10
+
+    @pytest.mark.parametrize("name,model_checks", [("two-bath-chain", 2), ("star", 1)])
+    def test_one_exponential_and_one_check_per_computed_row(self, name, model_checks, tmp_path, monkeypatch):
+        import fermicov.lindblad
+        from fermicov import CovarianceMatrix, expm
+
+        code, out, _ = run_cli("model", "build", name)
+        path = write_model(tmp_path, json.loads(out))
+        calls = Counter()
+        monkeypatch.setattr(fermicov.lindblad, "expm", lambda a: calls.update(["expm"]) or expm(a))
+
+        def counted(self, *args, _original=CovarianceMatrix.validate, **kwargs):
+            calls["validate"] += 1
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(CovarianceMatrix, "validate", counted)
+        samples = 30
+        _evolve_rows(path, "mixed", "5", samples)
+        # the mixed start and, for a unique model, the stationary state (for the
+        # distance column) are checked once each; then one check per stepped row
+        assert calls == {"expm": 1, "validate": model_checks + samples}
 
 
 class TestOracleCompare:
@@ -296,12 +381,18 @@ BAD_INPUTS = {
     "length not a number": (_preset(parameters={"length": "x"}), None, ["check"]),
     "length infinite": (_preset(parameters={"length": float("inf")}), None, ["check"]),
     "parameters not an object": (_preset(parameters=[1, 2]), None, ["check"]),
+    "unknown preset": ({"schema_version": 1, "preset": {"name": "chain"}}, None, ["check"]),
     "m0 file not an object": (_CHAIN, [1, 2], ["evolve", "--t-final", "1", "--samples", "2"]),
     # bad times
     "negative oracle time": (_CHAIN, None, ["oracle-compare", "--t=-1"]),
     "nan oracle time": (_CHAIN, None, ["oracle-compare", "--t", "nan"]),
     "nan final time": (_CHAIN, None, ["evolve", "--t-final", "nan", "--samples", "2"]),
     "infinite final time": (_CHAIN, None, ["evolve", "--t-final", "inf", "--samples", "2"]),
+    # bad thresholds and preset parameters
+    "nan max deviation": (_CHAIN, None, ["oracle-compare", "--max-deviation", "nan"]),
+    "negative max deviation": (_CHAIN, None, ["oracle-compare", "--max-deviation=-1"]),
+    "model build length nan": (None, None, ["model", "build", "star", "--set", "length=nan"]),
+    "model build length infinite": (None, None, ["model", "build", "star", "--set", "length=inf"]),
 }
 
 
@@ -309,7 +400,7 @@ class TestBadInputs:
     @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
     def test_exits_one_with_an_error_line(self, case, tmp_path):
         doc, m0_doc, args = BAD_INPUTS[case]
-        argv = [args[0], write_model(tmp_path, doc), *args[1:]]
+        argv = list(args) if doc is None else [args[0], write_model(tmp_path, doc), *args[1:]]
         if m0_doc is not None:
             argv += ["--m0", write_model(tmp_path, m0_doc, name="m0.json")]
         code, out, err = run_cli(*argv)

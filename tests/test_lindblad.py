@@ -23,6 +23,7 @@ from fermicov import (
     one_end_chain,
     propagate,
     propagate_gauge_invariant,
+    propagate_series,
     real_case_kalman,
     star_model,
     stationary,
@@ -119,6 +120,21 @@ class TestPropagate:
         m0 = convert_basis(random_covariance(rng, 3, beta=0.5), MAJ)
         out = propagate(spec, m0, t).entries
         assert np.abs(out - _vectorized_flow(spec, m0.entries, t)).max() < 1e-10
+
+    @pytest.mark.parametrize("unique", [False, True])
+    def test_series_steps_match_propagate(self, unique):
+        rng = np.random.default_rng(32)
+        if unique:
+            spec = random_semigroup(rng, 3, 2)
+        else:
+            spec = lift_gauge_invariant(star_model(3, 1.0, 0.5))
+        m0 = random_covariance(rng, 3, beta=0.5)
+        dt = 2.5
+        series = list(propagate_series(spec, m0, dt, 40))
+        assert np.array_equal(series[0].entries, convert_basis(m0, MAJ).entries)
+        for j, m_t in enumerate(series):
+            expected = convert_basis(propagate(spec, m0, j * dt), MAJ).entries
+            assert np.abs(m_t.entries - expected).max() < 1e-10
 
     def test_time_zero_returns_initial_state(self):
         rng = np.random.default_rng(31)
@@ -454,6 +470,21 @@ class TestValidateOnce:
         out = propagate(spec, m0, 1.0)
         assert out.basis is CA
         assert validate_calls == {"CovarianceMatrix": 1}
+
+    def test_series_checks_each_stepped_state_once(self, validate_calls, monkeypatch):
+        import fermicov.lindblad
+
+        expm_calls = []
+        monkeypatch.setattr(fermicov.lindblad, "expm", lambda a: expm_calls.append(1) or expm(a))
+        rng = np.random.default_rng(23)
+        spec = random_semigroup(rng, 3, 1)
+        m0 = random_covariance(rng, 3)
+        validate_calls.clear()
+        series = list(propagate_series(spec, m0, 0.25, 8))
+        assert len(series) == 9
+        assert all(m.basis is MAJ for m in series)
+        assert validate_calls == {"CovarianceMatrix": 8}
+        assert len(expm_calls) == 1
 
     def test_make_semigroup_trusts_tagged_inputs(self, validate_calls):
         rng = np.random.default_rng(22)
