@@ -47,6 +47,10 @@ from .phase import TAU_NUM, TAU_STRUCT, BasisTag, convert_basis, validate_coupli
 from .quasifree import CovarianceMatrix, small_from_full, validate_covariance
 
 SCHEMA_VERSION = 1
+#: Largest system or bath mode count a model file may declare, checked before
+#: any matrix is built.  At the cap, ``stationary`` on the two-bath chain solves
+#: a 1024 x 1024 Lyapunov equation.
+L_MODEL_MAX = 512
 
 _INPUT_ERRORS = (StructureViolation, TooLarge, UnsupportedIso)
 _NUMERIC_ERRORS = (NumericalFailure, NonUniqueStationary, WordTooLong, NotPSD)
@@ -153,7 +157,13 @@ def _preset_parameters(name: str, parameters: dict) -> dict:
     merged = {**defaults, **parameters}
     if "length" in merged:
         merged["length"] = int(merged["length"])
+        _check_mode_count("length", merged["length"])
     return merged
+
+
+def _check_mode_count(what: str, count: int) -> None:
+    if count > L_MODEL_MAX:
+        raise TooLarge(f"{what} {count} exceeds the model cap L_MODEL_MAX = {L_MODEL_MAX}")
 
 
 def build_preset_spec(name: str, parameters: dict) -> SemigroupSpec:
@@ -203,12 +213,14 @@ def _spec_from_explicit(section) -> SemigroupSpec:
     except ValueError:
         raise UsageError(f"unknown basis tag {section['basis']!r}")
     L, K = int(section["mode_count"]), int(section["bath_modes"])
-    t_s = validate_qf(matrix_from_json(section["t_s"], "t_s"), basis)
-    theta = validate_coupling(matrix_from_json(section["theta"], "theta"), basis)
-    m_b = validate_covariance(matrix_from_json(section["m_b"], "m_b"), basis)
-    if t_s.mode_count != L or theta.bath_modes != K:
+    _check_mode_count("mode_count", L)
+    _check_mode_count("bath_modes", K)
+    t_s, theta, m_b = (matrix_from_json(section[key], key) for key in ("t_s", "theta", "m_b"))
+    if t_s.shape != (2 * L, 2 * L) or theta.shape != (2 * L, 2 * K) or m_b.shape != (2 * K, 2 * K):
         raise UsageError("declared mode counts do not match the matrices")
-    return make_semigroup(t_s, theta, m_b)
+    return make_semigroup(
+        validate_qf(t_s, basis), validate_coupling(theta, basis), validate_covariance(m_b, basis)
+    )
 
 
 def spec_hash(spec: SemigroupSpec) -> str:

@@ -10,10 +10,17 @@ with drift G = -i T_S - 1/2 Theta Theta* and pump P = Theta M_B Theta*.
 The flow over a time step dt is affine, M(t + dt) = E_dt M(t) E_dt* + Q_dt,
 so a time series on an evenly spaced grid steps one (E_dt, Q_dt) through the
 semigroup law (``propagate_series``); ``propagate`` is its single-step case.
-Uniqueness of the stationary solution, convergence, and the controllability
-(Kalman) rank criterion are decided here, together with the gauge-invariant
+
+The stationary state is unique exactly when span{T_S^k Theta} is the whole
+space (the Kalman-type criterion).  ``_controllable_basis`` computes an
+orthonormal basis V_c of that span by block Krylov in staircase form: each
+block is one product with T_S, two re-orthogonalizations against V_c and a
+thin SVD, so the whole sweep costs O(n^3) time and O(n^2) memory and never
+forms the powers T_S^k.  Its rank is cross-checked against the spectral
+(PBH) test on the eigenvectors of T_S, and a disagreement raises
+``NumericalFailure`` naming both margins.  Convergence, the gauge-invariant
 reduction to L x L data and the support decomposition of degenerate
-stationary states.
+stationary states are decided here too.
 """
 
 from __future__ import annotations
@@ -164,59 +171,83 @@ def lift_gauge_invariant(gi: GaugeInvariantSpec) -> SemigroupSpec:
     )
 
 
-def _numerical_rank(mat: np.ndarray, ref_scale: float | None = None) -> tuple[int, np.ndarray]:
-    """Rank by singular-value threshold 64 * n * eps * scale; returns (rank, U)."""
-    if mat.size == 0:
-        return 0, np.zeros((mat.shape[0], mat.shape[0]))
-    u, s, _ = np.linalg.svd(mat)
-    scale = float(s[0]) if ref_scale is None else ref_scale
-    thresh = 64 * max(mat.shape) * np.finfo(float).eps * scale
-    return int(np.sum(s > thresh)), u
+def _controllable_basis(t: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, float, float, float]:
+    """Orthonormal basis V_c of span{T^k Theta}, by block Krylov in staircase form.
 
-
-def _controllability(t: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """[Theta | T Theta | ... | T^(n-1) Theta], with T normalized for stable powers."""
+    Works on the normalized pair (T / |T|_2, Theta / |Theta|_2).  The first
+    block is Theta; each later block is T applied to the previous block's
+    new columns.  A block is re-orthogonalized twice against V_c and its new
+    directions are the left singular vectors of a thin SVD whose singular
+    values exceed one threshold, 64 n eps (64 n eps |Theta|_2 on Theta
+    itself).  The sweep stops when a block adds nothing or V_c has n columns
+    (Van Dooren, IEEE TAC 26:111, 1981).  Returns V_c, the smallest kept and
+    the largest dropped singular value, and the threshold.
+    """
     n = t.shape[0]
-    norm = np.linalg.norm(t, 2)
-    t_hat = t / norm if norm > 0 else t
-    blocks = [theta]
-    cur = theta
-    for _ in range(n - 1):
-        cur = t_hat @ cur
-        blocks.append(cur)
-    return np.hstack(blocks)
+    thresh = 64 * n * np.finfo(float).eps
+    t_norm = np.linalg.norm(t, 2)
+    theta_norm = np.linalg.norm(theta, 2) if theta.size else 0.0
+    t_hat = t / t_norm if t_norm > 0 else t
+    block = theta / theta_norm if theta_norm > 0 else theta
+    basis = np.empty((n, n), dtype=np.result_type(t, theta))
+    rank, kept, dropped = 0, np.inf, 0.0
+    while block.shape[1] and rank < n:
+        v_c = basis[:, :rank]
+        for _ in range(2):
+            block = block - v_c @ (v_c.conj().T @ block)
+        u, s, _ = np.linalg.svd(block, full_matrices=False)
+        new = min(int(np.sum(s > thresh)), n - rank)
+        kept = min(kept, s[:new].min(initial=np.inf))
+        dropped = max(dropped, s[new:].max(initial=0.0))
+        basis[:, rank : rank + new] = u[:, :new]
+        block = t_hat @ u[:, :new]
+        rank += new
+    return basis[:, :rank], float(kept), float(dropped), thresh
 
 
-def _spectral_criterion(t: np.ndarray, theta: np.ndarray) -> tuple[bool, complex | None]:
-    """True when no eigenvector of t lies in ker(theta*), clustering degeneracies."""
+def _spectral_criterion(t: np.ndarray, theta: np.ndarray) -> tuple[bool, complex | None, float, float]:
+    """True when no eigenvector of t lies in ker(theta*), clustering degeneracies.
+
+    A cluster of c eigenvectors passes when the c-th singular value of its
+    overlap with theta exceeds 64 max(shape) eps max|theta|.  Also returns
+    the offending eigenvalue, and the overlap singular value and threshold
+    of the cluster closest to failing.
+    """
     w, v = scipy.linalg.eigh(t)
     theta_scale = max(float(np.abs(theta).max()), 1e-300)
+    margin, margin_thresh = np.inf, 1.0
     start = 0
     for i in range(1, len(w) + 1):
         if i == len(w) or w[i] - w[i - 1] > CLUSTER_GAP:
-            cluster = v[:, start:i]
-            overlap = theta.conj().T @ cluster
-            rank, _ = _numerical_rank(overlap, ref_scale=theta_scale)
-            if rank < cluster.shape[1]:
-                return False, complex(np.mean(w[start:i]))
+            overlap = theta.conj().T @ v[:, start:i]
+            s = np.linalg.svd(overlap, compute_uv=False)
+            thresh = 64 * max(overlap.shape) * np.finfo(float).eps * theta_scale
+            smallest = float(s[i - start - 1]) if s.size >= i - start else 0.0
+            if smallest / thresh < margin / margin_thresh:
+                margin, margin_thresh = smallest, thresh
+            if smallest <= thresh:
+                return False, complex(np.mean(w[start:i])), margin, margin_thresh
             start = i
-    return True, None
+    return True, None, margin, margin_thresh
 
 
 def _ergodicity_core(t: np.ndarray, theta: np.ndarray, drift: np.ndarray) -> ErgodicityReport:
     n = t.shape[0]
-    ctrl = _controllability(t, theta)
-    rank, u = _numerical_rank(ctrl)
+    v_c, kept, dropped, thresh = _controllable_basis(t, theta)
+    rank = v_c.shape[1]
     kalman_full = rank == n
-    unique, offending = _spectral_criterion(t, theta)
+    unique, offending, overlap, overlap_thresh = _spectral_criterion(t, theta)
     if unique != kalman_full:
         raise NumericalFailure(
-            f"controllability rank {rank}/{n} disagrees with the spectral criterion ({unique})"
+            f"Kalman staircase rank {rank}/{n} (smallest kept singular value {kept:.3e}, "
+            f"largest dropped {dropped:.3e}, threshold {thresh:.3e}) disagrees with the "
+            f"spectral criterion (unique={unique}; smallest overlap singular value "
+            f"{overlap:.3e}, threshold {overlap_thresh:.3e})"
         )
     if kalman_full:
         converges = True
     else:
-        q = u[:, rank:]
+        q = np.linalg.qr(v_c, mode="complete")[0][:, rank:]
         block = q.conj().T @ t @ q
         lam = np.trace(block) / block.shape[0]
         tol = TAU_NUM * _scale(t)
@@ -382,7 +413,8 @@ def real_case_kalman(c_t, c_theta) -> bool:
 
     For T = [[0, i C_T], [-i C_T^T, 0]] and Theta = [[0, i C_Th], [-i C_Th, 0]]
     (real C_T, C_Th), the 2L-dimensional criterion splits into two L-dimensional
-    span conditions, each tested here by a numerical rank.
+    span conditions: the Krylov space of C C^T on [C_Th, C C_Th] is the whole
+    space, for C = C_T and C = C_T^T.  Each is tested with the staircase basis.
     """
     a = np.asarray(c_t, dtype=float)
     b = np.asarray(c_theta, dtype=float)
@@ -393,15 +425,7 @@ def real_case_kalman(c_t, c_theta) -> bool:
     a_hat = a / norm if norm > 0 else a
 
     def spans(m: np.ndarray) -> bool:
-        gram = m @ m.T
-        blocks = [b, m @ b]
-        cur_even, cur_odd = b, m @ b
-        for _ in range(L):
-            cur_even = gram @ cur_even
-            cur_odd = gram @ cur_odd
-            blocks += [cur_even, cur_odd]
-        rank, _ = _numerical_rank(np.hstack(blocks))
-        return rank == L
+        return _controllable_basis(m @ m.T, np.hstack([b, m @ b]))[0].shape[1] == L
 
     return spans(a_hat) and spans(a_hat.T)
 

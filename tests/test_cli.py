@@ -5,8 +5,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import fermicov.cli as cli
 from fermicov import BasisTag, convert_basis
 from fermicov.cli import (
+    L_MODEL_MAX,
     build_preset_spec,
     load_model,
     main,
@@ -278,6 +280,93 @@ class TestSteppedSeries:
         # the mixed start and, for a unique model, the stationary state (for the
         # distance column) are checked once each; then one check per stepped row
         assert calls == {"expm": 1, "validate": model_checks + samples}
+
+
+class TestChainAtLength80:
+    """The two-bath chain at L = 80 (n = 160), past the size where stacked
+    Kalman powers lost rank."""
+
+    PARAMS = {"length": 80, "theta1": 1.3, "theta_l": 0.7, "n1": 0.9, "n_l": 0.2}
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        settings = [f"--set={key}={value}" for key, value in self.PARAMS.items()]
+        code, out, _ = run_cli("model", "build", "two-bath-chain", *settings)
+        assert code == 0
+        return write_model(tmp_path, json.loads(out))
+
+    def test_stationary_matches_closed_form(self, path):
+        from fermicov.models import ChainParams, two_bath_chain
+
+        code, out, _ = run_cli("stationary", path)
+        assert code == 0
+        report = json.loads(out)
+        assert report["ergodicity"]["kalman_rank"] == 160
+        expected = two_bath_chain(ChainParams(**self.PARAMS))[1].matrix(80)
+        section = report["stationary"]
+        assert np.abs(np.array(section["occupations"]) - expected.diagonal().real).max() < 1e-10
+        assert np.abs(np.array(section["currents"]) - np.diag(expected, 1).imag).max() < 1e-10
+
+    def test_check_and_evolve_exit_zero(self, path):
+        code, out, _ = run_cli("check", path)
+        assert code == 0
+        assert json.loads(out)["ergodicity"]["unique_stationary"]
+        code, out, _ = run_cli("evolve", path, "--samples", "200", "--t-final", "10")
+        assert code == 0
+        rows = out.splitlines()
+        assert len(rows) == 202 and rows[0].endswith(",distance")
+
+
+class TestModelCap:
+    """Oversized declarations are refused before any matrix is built; no
+    oversized model is ever run."""
+
+    @pytest.fixture(autouse=True)
+    def no_builds(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a matrix was built for an oversized model")
+
+        for name, (defaults, _) in list(cli.PRESETS.items()):
+            monkeypatch.setitem(cli.PRESETS, name, (defaults, refuse))
+        for name in ("matrix_from_json", "validate_qf", "validate_coupling", "validate_covariance", "make_semigroup"):
+            monkeypatch.setattr(cli, name, refuse)
+
+    @staticmethod
+    def _explicit(**declared):
+        section = {"mode_count": 1, "bath_modes": 1, "basis": "majorana", "t_s": [], "theta": [], "m_b": []}
+        return {"schema_version": 1, "explicit": {**section, **declared}}
+
+    @pytest.mark.parametrize(
+        "doc, args",
+        [
+            (None, ["model", "build", "two-bath-chain", f"--set=length={L_MODEL_MAX + 1}"]),
+            (None, ["model", "build", "thermalization", "--set=length=1e9"]),
+            ({"schema_version": 1, "preset": {"name": "xy", "parameters": {"length": L_MODEL_MAX + 1}}}, ["stationary"]),
+            ("mode_count", ["check"]),
+            ("bath_modes", ["evolve", "--t-final", "1", "--samples", "2"]),
+        ],
+    )
+    def test_declared_size_above_cap_exits_one(self, doc, args, tmp_path):
+        if isinstance(doc, str):
+            doc = self._explicit(**{doc: L_MODEL_MAX + 1})
+        argv = list(args) if doc is None else [args[0], write_model(tmp_path, doc), *args[1:]]
+        code, out, err = run_cli(*argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: TooLarge: ") and err.count("\n") == 1
+        assert str(L_MODEL_MAX) in err
+
+    def test_matrices_larger_than_declared_are_refused_before_validation(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "matrix_from_json", matrix_from_json)
+        doc = explicit_doc(random_semigroup(np.random.default_rng(8), 3, 1))
+        doc["explicit"]["mode_count"] = 1
+        code, out, err = run_cli("check", write_model(tmp_path, doc))
+        assert code == 1
+        assert out == ""
+        assert err == "error: declared mode counts do not match the matrices\n"
+
+    def test_cap_itself_is_accepted(self):
+        assert cli._preset_parameters("two-bath-chain", {"length": L_MODEL_MAX})["length"] == L_MODEL_MAX
 
 
 class TestOracleCompare:

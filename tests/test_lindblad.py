@@ -36,7 +36,9 @@ from fermicov import (
     validate_qf,
     validate_small_covariance,
 )
-from fermicov.models import ChainParams, chain_hamiltonian
+import fermicov.lindblad as lindblad
+from fermicov.lindblad import _controllable_basis
+from fermicov.models import ChainParams, XYParams, chain_hamiltonian, xy_chain
 
 from conftest import random_coupling, random_covariance, random_qf, random_semigroup
 
@@ -235,6 +237,100 @@ class TestErgodicity:
         assert not report.unique_stationary
 
 
+def _hidden_block_pair(rng, controlled, hidden):
+    """Hermitian T and coupling Theta whose controllable subspace has dimension
+    ``controlled``: a random unitary mixes a coupled block with an uncoupled one,
+    so no entry of the pair is exactly zero."""
+    n = controlled + hidden
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    t = np.zeros((n, n), dtype=complex)
+    t[:controlled, :controlled] = a[:controlled, :controlled] + a[:controlled, :controlled].conj().T
+    t[controlled:, controlled:] = a[controlled:, controlled:] + a[controlled:, controlled:].conj().T
+    theta = np.zeros((n, 1), dtype=complex)
+    theta[:controlled, 0] = rng.standard_normal(controlled)
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return u @ t @ u.conj().T, u @ theta
+
+
+def _star_pair():
+    spec = lift_gauge_invariant(star_model(6, 1.0, 0.5))
+    return spec.t_s.entries, spec.theta.entries
+
+
+def _xy_pair():
+    spec = xy_chain(XYParams(160, 0.4, 0.25, 1.0, 1.0, 0.7, 0.3))
+    return spec.t_s.entries, spec.theta.entries
+
+
+STAIRCASE_CASES = {
+    "star": (_star_pair, 4),
+    "xy L=160": (_xy_pair, 320),
+    "graded spectrum": (lambda: (np.diag(np.geomspace(1e-3, 1.0, 40)).astype(complex), np.ones((40, 1))), 40),
+    "hidden block": (lambda: _hidden_block_pair(np.random.default_rng(40), 5, 7), 5),
+}
+
+
+class TestKalmanStaircase:
+    @pytest.mark.parametrize("case", sorted(STAIRCASE_CASES))
+    def test_orthonormal_invariant_basis(self, case):
+        build, rank = STAIRCASE_CASES[case]
+        t, theta = build()
+        v_c = _controllable_basis(t, theta)[0]
+        assert v_c.shape == (t.shape[0], rank)
+        assert np.abs(v_c.conj().T @ v_c - np.eye(rank)).max() < 1e-12
+        outside = np.eye(t.shape[0]) - v_c @ v_c.conj().T
+        assert np.abs(outside @ t @ v_c).max() < 1e-12 * np.linalg.norm(t, 2)
+        assert np.abs(outside @ theta).max() < 1e-12 * np.linalg.norm(theta, 2)
+
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+    def test_rank_does_not_depend_on_the_scale_of_t(self, scale):
+        chain = lift_gauge_invariant(two_bath_chain(ChainParams(20, 1.0, 1.0, 0.9, 0.1))[0])
+        assert _controllable_basis(scale * chain.t_s.entries, chain.theta.entries)[0].shape[1] == 40
+        t, theta = _hidden_block_pair(np.random.default_rng(41), 5, 7)
+        assert _controllable_basis(scale * t, theta)[0].shape[1] == 5
+
+    @pytest.mark.parametrize("model", ["chain", "star"])
+    def test_disagreement_names_both_margins(self, model, monkeypatch):
+        gi = two_bath_chain(ChainParams(8, 1.0, 1.0, 0.9, 0.1))[0] if model == "chain" else star_model(6, 1.0, 0.5)
+        spec = lift_gauge_invariant(gi)
+        _, kept, dropped, thresh = _controllable_basis(spec.t_s.entries, spec.theta.entries)
+        unique = model == "star"
+        monkeypatch.setattr(
+            lindblad, "_spectral_criterion", lambda t, theta: (unique, None, 1.25e-3, 2.5e-14)
+        )
+        with pytest.raises(NumericalFailure) as info:
+            ergodicity(spec)
+        message = str(info.value)
+        for value in (kept, dropped, thresh, 1.25e-3, 2.5e-14):
+            assert f"{value:.3e}" in message
+
+    @pytest.mark.parametrize("kappa", [0.9, 0.99, 0.999])
+    @pytest.mark.parametrize("h", [1e-2, 1e-4, 0.0])
+    def test_near_ising_point_never_disagrees_silently(self, kappa, h):
+        spec = xy_chain(XYParams(40, kappa, h, 1.0, 1.0, 0.7, 0.3))
+        try:
+            report = ergodicity(spec)
+        except NumericalFailure as exc:
+            assert "smallest kept singular value" in str(exc)
+            assert "smallest overlap singular value" in str(exc)
+        else:
+            assert report.kalman_full == report.unique_stationary
+
+
+class TestSizeLadder:
+    @pytest.mark.parametrize("length", [80, 160, 320])
+    def test_two_bath_chain_gauge_invariant(self, length):
+        gi, pred = two_bath_chain(ChainParams(length=length, theta1=1.3, theta_l=0.7, n1=0.9, n_l=0.2))
+        small = stationary_gauge_invariant(gi).entries
+        assert np.abs(small - pred.matrix(length)).max() < 1e-10
+
+    @pytest.mark.parametrize("length", [80, 160])
+    def test_xy_chain_full_rank(self, length):
+        report = ergodicity(xy_chain(XYParams(length, 0.4, 0.25, 1.0, 1.0, 0.7, 0.3)))
+        assert report.kalman_rank == 2 * length
+        assert report.unique_stationary
+
+
 class TestGaugeInvariant:
     @pytest.mark.parametrize("seed", range(50))
     def test_lifted_agreement(self, seed):
@@ -381,6 +477,12 @@ class TestRealCaseKalman:
         theta = validate_coupling(np.block([[zk, 1j * c_th], [-1j * c_th, zk]]), MAJ)
         spec = make_semigroup(t, theta, random_covariance(rng, K))
         assert real_case_kalman(c_t, c_th) == ergodicity(spec).unique_stationary
+
+    def test_xy_chain_at_length_80(self):
+        c_t, c_th = self._xy_blocks(80, 0.4, 0.25, 1.0, 1.0)
+        spec = xy_chain(XYParams(80, 0.4, 0.25, 1.0, 1.0, 0.7, 0.3))
+        assert real_case_kalman(c_t, c_th)
+        assert ergodicity(spec).unique_stationary
 
 
 class TestSupportDecomposition:
