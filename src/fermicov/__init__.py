@@ -25,14 +25,11 @@ from .phase import (
 )
 from .quasifree import (
     CovarianceMatrix,
-    PairingMoment,
     SmallCovarianceMatrix,
     covariance_from_gibbs,
     full_from_small,
-    pairing_moment,
     small_covariance_from_gibbs,
     small_from_full,
-    two_point,
     validate_covariance,
     validate_small_covariance,
     wick_moment,

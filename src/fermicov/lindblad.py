@@ -21,6 +21,10 @@ forms the powers T_S^k.  Its rank is cross-checked against the spectral
 ``NumericalFailure`` naming both margins.  Convergence, the gauge-invariant
 reduction to L x L data and the support decomposition of degenerate
 stationary states are decided here too.
+
+Full (2L) and gauge-invariant (L x L) data share one core: ``_drift_pump``
+builds G and P for both, and ``_lyapunov_solve`` is the one stationary
+solve, with its uniqueness gate and its residual check.
 """
 
 from __future__ import annotations
@@ -53,6 +57,7 @@ from .quasifree import (
     CovarianceMatrix,
     SmallCovarianceMatrix,
     full_from_small,
+    validate_covariance,
     validate_small_covariance,
 )
 
@@ -114,6 +119,12 @@ class ErgodicityReport:
     offending_eigenvalue: complex | None
 
 
+def _drift_pump(t: np.ndarray, theta: np.ndarray, m_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Drift G = -i T - 1/2 Theta Theta* and pump P = Theta M_B Theta*."""
+    theta_adj = theta.conj().T
+    return -1j * t - 0.5 * theta @ theta_adj, theta @ m_b @ theta_adj
+
+
 def make_semigroup(t_s: HamiltonianMatrix, theta: CouplingMatrix, m_b: CovarianceMatrix) -> SemigroupSpec:
     """Assemble and validate a semigroup spec; inputs may carry either basis."""
     if theta.system_modes != t_s.mode_count:
@@ -127,8 +138,7 @@ def make_semigroup(t_s: HamiltonianMatrix, theta: CouplingMatrix, m_b: Covarianc
     t = convert_basis(t_s, BasisTag.MAJORANA)
     th = convert_basis(theta, BasisTag.MAJORANA)
     mb = convert_basis(m_b, BasisTag.MAJORANA)
-    drift = -1j * t.entries - 0.5 * th.entries @ th.entries.conj().T
-    pump = th.entries @ mb.entries @ th.entries.conj().T
+    drift, pump = _drift_pump(t.entries, th.entries, mb.entries)
     res = _hermiticity_residual(pump)
     if res > _tol(pump):
         raise StructureViolation("pump matrix is not Hermitian", res)
@@ -152,8 +162,7 @@ def make_gauge_invariant(t_s0, theta0, m_b0) -> GaugeInvariantSpec:
         raise StructureViolation(
             f"bath covariance size {mb0.mode_count} does not match coupling columns {th0.shape[1]}"
         )
-    drift0 = -1j * t0 - 0.5 * th0 @ th0.conj().T
-    pump0 = th0 @ mb0.entries @ th0.conj().T
+    drift0, pump0 = _drift_pump(t0, th0, mb0.entries)
     return GaugeInvariantSpec(t_s0=t0, theta0=th0, m_b0=mb0, drift0=drift0, pump0=pump0)
 
 
@@ -276,8 +285,14 @@ def ergodicity_gauge_invariant(spec: GaugeInvariantSpec) -> ErgodicityReport:
     return _ergodicity_core(spec.t_s0, spec.theta0, spec.drift0)
 
 
-def _lyapunov_solve(drift: np.ndarray, pump: np.ndarray) -> np.ndarray:
-    """Hermitian solution of G M + M G* = -P (Bartels-Stewart); callers gate uniqueness."""
+def _lyapunov_solve(drift: np.ndarray, pump: np.ndarray, report: ErgodicityReport) -> np.ndarray:
+    """Hermitian solution of G M + M G* = -P (Bartels-Stewart), gated on uniqueness.
+
+    Raises NonUniqueStationary when ``report`` fails the uniqueness criterion,
+    and NumericalFailure when the residual exceeds ``RESIDUAL_TOL`` |P|.
+    """
+    if not report.unique_stationary:
+        raise NonUniqueStationary(f"controllability rank {report.kalman_rank} < {drift.shape[0]}")
     m = scipy.linalg.solve_continuous_lyapunov(drift, -pump)
     m = (m + m.conj().T) / 2
     residual = _max_abs(drift @ m + m @ drift.conj().T + pump)
@@ -297,27 +312,13 @@ def stationary(spec: SemigroupSpec) -> CovarianceMatrix:
 
 def _stationary_given(spec: SemigroupSpec, report: ErgodicityReport) -> CovarianceMatrix:
     """``stationary`` for a caller that already holds the spec's ergodicity report."""
-    if not report.unique_stationary:
-        raise NonUniqueStationary(
-            f"controllability rank {report.kalman_rank} < {2 * spec.mode_count}"
-        )
-    m = _lyapunov_solve(spec.drift, spec.pump)
-    cov = CovarianceMatrix(entries=m, basis=BasisTag.MAJORANA, mode_count=spec.mode_count)
-    cov.validate()
-    return cov
+    return validate_covariance(_lyapunov_solve(spec.drift, spec.pump, report), BasisTag.MAJORANA)
 
 
 def stationary_gauge_invariant(spec: GaugeInvariantSpec) -> SmallCovarianceMatrix:
     """Stationary small covariance of an ergodic gauge-invariant semigroup."""
     report = ergodicity_gauge_invariant(spec)
-    if not report.unique_stationary:
-        raise NonUniqueStationary(
-            f"controllability rank {report.kalman_rank} < {spec.mode_count}"
-        )
-    m = _lyapunov_solve(spec.drift0, spec.pump0)
-    cov = SmallCovarianceMatrix(entries=m, mode_count=spec.mode_count)
-    cov.validate()
-    return cov
+    return validate_small_covariance(_lyapunov_solve(spec.drift0, spec.pump0, report))
 
 
 def _affine_flow(drift: np.ndarray, pump: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -402,10 +403,7 @@ def propagate_gauge_invariant(
     e, q = _affine_flow(spec.drift0, spec.pump0, float(t))
     m_t = e @ m0.entries @ e.conj().T + q
     m_t = (m_t + m_t.conj().T) / 2
-    a_t = e @ a_mat @ e.T
-    out = SmallCovarianceMatrix(entries=m_t, mode_count=L)
-    out.validate()
-    return out, a_t
+    return validate_small_covariance(m_t), e @ a_mat @ e.T
 
 
 def real_case_kalman(c_t, c_theta) -> bool:

@@ -94,14 +94,6 @@ class SmallCovarianceMatrix:
             raise StructureViolation("small covariance eigenvalues leave [0, 1]", res)
 
 
-@dataclass(frozen=True)
-class PairingMoment:
-    """A moment word together with its Wick value; odd words have value 0."""
-
-    word: tuple
-    value: complex
-
-
 def validate_covariance(entries, basis: BasisTag) -> CovarianceMatrix:
     m = _as_matrix(entries)
     n = _check_even_square(m)
@@ -165,14 +157,6 @@ def full_from_small(m0: SmallCovarianceMatrix) -> CovarianceMatrix:
     return CovarianceMatrix(entries=full, basis=BasisTag.CREATION_ANNIHILATION, mode_count=L)
 
 
-def two_point(m: CovarianceMatrix, x, y) -> complex:
-    """tr(rho phi(x) phi(y)) for phase-space vectors in Majorana coordinates."""
-    mm = convert_basis(m, BasisTag.MAJORANA).entries
-    x = np.asarray(x, dtype=complex)
-    y = np.asarray(y, dtype=complex)
-    return complex(2.0 * x @ mm @ y)
-
-
 def _pairings(k: int):
     """Yield (sign, pairs) over all perfect matchings of range(k)."""
     if k == 0:
@@ -222,10 +206,3 @@ def wick_moment(m: CovarianceMatrix, word: Sequence) -> complex:
             term *= kern[p, q]
         total += term
     return total
-
-
-def pairing_moment(m: CovarianceMatrix, word: Sequence) -> PairingMoment:
-    """Evaluate a word and package it with its value."""
-    value = wick_moment(m, word)
-    frozen = tuple(tuple(complex(c) for c in np.asarray(x, dtype=complex)) for x in word)
-    return PairingMoment(word=frozen, value=value)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import fermicov.cli as cli
+import fermicov.errors as errors
 from fermicov import BasisTag, convert_basis
 from fermicov.cli import (
     L_MODEL_MAX,
@@ -121,8 +122,8 @@ class TestStationary:
         expected = small_covariance_from_gibbs(chain_hamiltonian(3), 1.0).entries.diagonal().real
         assert np.abs(got - expected).max() < 1e-10
 
-    def test_one_ergodicity_report_per_run(self, tmp_path, monkeypatch):
-        import fermicov.cli
+    @pytest.fixture
+    def ergodicity_calls(self, monkeypatch):
         import fermicov.lindblad
 
         calls = []
@@ -132,12 +133,15 @@ class TestStationary:
             return _original(spec)
 
         monkeypatch.setattr(fermicov.lindblad, "ergodicity", counted)
-        monkeypatch.setattr(fermicov.cli, "ergodicity", counted)
+        monkeypatch.setattr(cli, "ergodicity", counted)
+        return calls
+
+    def test_one_ergodicity_report_per_run(self, tmp_path, ergodicity_calls):
         code, out, _ = run_cli("model", "build", "two-bath-chain")
         path = write_model(tmp_path, json.loads(out))
         code, _, _ = run_cli("stationary", path)
         assert code == 0
-        assert len(calls) == 1
+        assert len(ergodicity_calls) == 1
 
     def test_star_exits_two(self, tmp_path):
         code, out, _ = run_cli("model", "build", "star")
@@ -145,6 +149,14 @@ class TestStationary:
         code, _, err = run_cli("stationary", path)
         assert code == 2
         assert "NonUniqueStationary" in err
+
+    def test_star_stationary_start_checks_ergodicity_once(self, tmp_path, ergodicity_calls):
+        code, out, _ = run_cli("model", "build", "star")
+        path = write_model(tmp_path, json.loads(out))
+        code, out, err = run_cli("evolve", path, "--m0", "stationary", "--t-final", "1", "--samples", "2")
+        assert (code, out) == (2, "")
+        assert err == "error: NonUniqueStationary: controllability rank 4 < 6\n"
+        assert len(ergodicity_calls) == 1
 
     def test_full_matrix_flag(self, tmp_path):
         code, out, _ = run_cli("model", "build", "one-end-chain")
@@ -404,6 +416,31 @@ class TestOracleCompare:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize(
+        "error, code",
+        [
+            (errors.StructureViolation, 1),
+            (errors.TooLarge, 1),
+            (errors.UnsupportedIso, 1),
+            (errors.NumericalFailure, 2),
+            (errors.NonUniqueStationary, 2),
+            (errors.WordTooLong, 2),
+            (errors.NotPSD, 2),
+            (errors.FermicovError, 2),
+        ],
+        ids=lambda v: v.__name__ if isinstance(v, type) else str(v),
+    )
+    def test_error_class_sets_exit_code(self, error, code, monkeypatch):
+        exc = error("boom")
+
+        def fail(args, out, err):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_check", fail)
+        got, out, err = run_cli("check", "model.json")
+        assert (got, out) == (code, "")
+        assert err == f"error: {error.__name__}: {exc}\n"
+
     def test_missing_file(self):
         code, _, err = run_cli("check", "/nonexistent/model.json")
         assert code == 1

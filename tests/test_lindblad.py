@@ -189,6 +189,10 @@ class TestStationary:
         with pytest.raises(NonUniqueStationary):
             stationary(spec)
 
+    def test_star_not_unique_gauge_invariant(self):
+        with pytest.raises(NonUniqueStationary, match="rank 2 < 3"):
+            stationary_gauge_invariant(star_model(3, 1.0, 0.5))
+
     def test_residual_of_solution(self):
         rng = np.random.default_rng(4)
         spec = random_semigroup(rng, 3, 2)

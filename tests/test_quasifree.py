@@ -10,12 +10,10 @@ from fermicov import (
     covariance_of,
     full_from_small,
     gibbs_state,
-    pairing_moment,
     quadratic_hamiltonian,
     quasifree_state,
     small_covariance_from_gibbs,
     small_from_full,
-    two_point,
     validate_covariance,
     validate_small_covariance,
     wick_moment,
@@ -97,7 +95,6 @@ class TestWick:
         m = random_covariance(rng, 2)
         word = [rng.standard_normal(4) + 1j * rng.standard_normal(4)]
         assert wick_moment(m, word) == 0
-        assert pairing_moment(m, word).value == 0
 
     def test_two_point_reproduces_entries(self):
         rng = np.random.default_rng(2)
@@ -107,7 +104,6 @@ class TestWick:
             for j in range(2):
                 val = wick_moment(m, [annihilator_coords(i, 2), creator_coords(j, 2)])
                 assert abs(val - mc[i, j]) < 1e-12
-                assert abs(two_point(m, annihilator_coords(i, 2), creator_coords(j, 2)) - mc[i, j]) < 1e-12
 
     def test_gauge_invariant_four_point(self):
         # occupations (0.3, 0.8): tr(rho c1 c1* c2 c2*) = 0.7 * 0.2
