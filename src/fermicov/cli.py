@@ -67,15 +67,15 @@ def matrix_to_json(m: np.ndarray) -> list:
 
 def matrix_from_json(data, what: str) -> np.ndarray:
     try:
-        rows = []
-        for row in data:
-            rows.append([complex(float(z[0]), float(z[1])) for z in row])
-        out = np.array(rows, dtype=complex)
-    except (TypeError, ValueError, IndexError) as exc:
+        # exact types: np.array would read "12" or true (a bool is an int) as a number
+        if {type(x) for row in data for z in row for x in z} - {int, float}:
+            raise TypeError("an entry holds something other than two numbers")
+        pairs = np.array(data, dtype=float)
+    except _MALFORMED_ERRORS as exc:
         raise UsageError(f"{what}: expected a nested array of [re, im] pairs ({exc})")
-    if out.ndim != 2:
-        raise UsageError(f"{what}: expected a matrix")
-    return out
+    if pairs.ndim != 3 or pairs.shape[2] != 2:
+        raise UsageError(f"{what}: expected a matrix of [re, im] pairs")
+    return pairs.view(complex)[..., 0]
 
 
 def _fmt(x: float) -> str:

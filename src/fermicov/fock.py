@@ -6,17 +6,21 @@ space through the standard string construction: occupation words u in
 
     c_i |u> = delta(u_i, 1) * prod_{k < i} (-1)^{u_k} |..., u_i - 1, ...>.
 
-Everything downstream (quadratic Hamiltonians, Gibbs states, tensor
-embeddings, partial traces, covariance extraction) is exact dense linear
-algebra, intended as the brute-force verification path for the covariance
-machinery.  Sizes are capped at ``N_DENSE_MAX`` total modes.
+The annihilators are real, and the 2n Majorana operators are kept as one
+cached stack of shape (2n, 2^n, 2^n).  Every operator linear in the fields
+comes from one contraction with that stack, ``_field(x, n) = sum_i x_i g_i``:
+field operators, each row of a quadratic Hamiltonian (sum_i g_i phi(h_i)),
+and the oracle's jump operators.  Everything downstream (Gibbs states,
+tensor embeddings, partial traces, covariance extraction) is exact dense
+linear algebra, intended as the brute-force verification path for the
+covariance machinery.  Sizes are capped at ``N_DENSE_MAX`` total modes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 import scipy.linalg
@@ -79,26 +83,29 @@ def _check_size(n: int) -> None:
 
 
 @lru_cache(maxsize=None)
-def _annihilators(n: int) -> tuple[np.ndarray, ...]:
+def _annihilators(n: int) -> np.ndarray:
+    """Stack of the n Jordan-Wigner annihilators, shape (n, 2^n, 2^n); real."""
     _check_size(n)
-    a = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    z = np.diag([1.0, -1.0]).astype(complex)
-    eye2 = np.eye(2, dtype=complex)
-    ops = []
-    for i in range(n):
-        m = np.eye(1, dtype=complex)
-        for k in range(n):
-            m = np.kron(m, z if k < i else (a if k == i else eye2))
-        ops.append(m)
-    return tuple(ops)
+    a = np.array([[0.0, 1.0], [0.0, 0.0]])
+    z = np.diag([1.0, -1.0])
+    out = np.array([reduce(np.kron, [z] * i + [a] + [np.eye(2)] * (n - 1 - i)) for i in range(n)])
+    out.flags.writeable = False
+    return out
 
 
 @lru_cache(maxsize=None)
-def _majoranas(n: int) -> tuple[np.ndarray, ...]:
+def _majoranas(n: int) -> np.ndarray:
+    """Stack of the 2n Majorana operators, shape (2n, 2^n, 2^n)."""
     cs = _annihilators(n)
-    gs = [c + c.conj().T for c in cs]
-    gs += [-1j * (c - c.conj().T) for c in cs]
-    return tuple(gs)
+    cds = cs.transpose(0, 2, 1)
+    out = np.concatenate([cs + cds, -1j * (cs - cds)])
+    out.flags.writeable = False
+    return out
+
+
+def _field(coords: np.ndarray, n: int) -> np.ndarray:
+    """sum_i x_i g_i for Majorana coordinates x of shape (..., 2n)."""
+    return np.tensordot(coords, _majoranas(n), axes=1)
 
 
 @lru_cache(maxsize=None)
@@ -111,7 +118,7 @@ def _parity(n: int) -> np.ndarray:
 
 def annihilation_ops(n: int) -> list[DenseOperator]:
     """The n annihilation operators c_1 ... c_n."""
-    return [DenseOperator(entries=c.copy(), mode_count=n) for c in _annihilators(n)]
+    return [DenseOperator(entries=c.astype(complex), mode_count=n) for c in _annihilators(n)]
 
 
 def majorana_ops(n: int) -> list[DenseOperator]:
@@ -136,17 +143,7 @@ def quadratic_hamiltonian(t: HamiltonianMatrix, prefactor: float) -> DenseOperat
     n = t.mode_count
     _check_size(n)
     h = prefactor * 0.5 * convert_basis(t, BasisTag.MAJORANA).entries
-    gs = _majoranas(n)
-    dim = 2**n
-    out = np.zeros((dim, dim), dtype=complex)
-    for i in range(2 * n):
-        row = h[i]
-        acc = np.zeros((dim, dim), dtype=complex)
-        for j in range(2 * n):
-            if row[j] != 0:
-                acc += row[j] * gs[j]
-        if np.any(acc):
-            out += gs[i] @ acc
+    out = sum(g @ _field(row, n) for g, row in zip(_majoranas(n), h))
     out = (out + out.conj().T) / 2
     return DenseOperator(entries=out, mode_count=n)
 
@@ -272,13 +269,14 @@ def covariance_of(rho: DenseState) -> CovarianceMatrix:
     rho.validate()
     n = rho.op.mode_count
     cs = _annihilators(n)
-    f_ops = list(cs) + [c.conj().T for c in cs]
-    m = rho.op.entries
+    # F = (c_1 .. c_n, c_1* .. c_n*) is real, so tr(rho F_k F_l*) is
+    # sum_ab (rho F_k)_ab (F_l)_ab: one contraction per row k, taken on the
+    # real and imaginary parts so that the real stack is never cast to complex
+    f_ops = np.concatenate([cs, cs.transpose(0, 2, 1)])
     cov = np.empty((2 * n, 2 * n), dtype=complex)
-    for k in range(2 * n):
-        rho_fk = m @ f_ops[k]
-        for l in range(2 * n):
-            cov[k, l] = np.trace(rho_fk @ f_ops[l].conj().T)
+    for k, fk in enumerate(f_ops):
+        rho_fk = rho.op.entries @ fk
+        cov[k] = np.tensordot(f_ops, rho_fk.real, 2) + 1j * np.tensordot(f_ops, rho_fk.imag, 2)
     return validate_covariance((cov + cov.conj().T) / 2, BasisTag.CREATION_ANNIHILATION)
 
 
@@ -287,9 +285,4 @@ def field_operator(coords, n: int) -> DenseOperator:
     coords = np.asarray(coords, dtype=complex)
     if coords.shape != (2 * n,):
         raise StructureViolation(f"coordinates have shape {coords.shape}, expected {(2 * n,)}")
-    gs = _majoranas(n)
-    out = np.zeros((2**n, 2**n), dtype=complex)
-    for x, g in zip(coords, gs):
-        if x != 0:
-            out += x * g
-    return DenseOperator(entries=out, mode_count=n)
+    return DenseOperator(entries=_field(coords, n), mode_count=n)

@@ -3,16 +3,19 @@
 Builds the exact generator
 
     L(rho) = -i [H_S, rho] + sum_k L_k rho L_k* - 1/2 {L_k* L_k, rho}
+           = K rho + rho K* + sum_k L_k rho L_k*,  K = -i H_S - 1/2 sum_k L_k* L_k
 
 on the 2^L-dimensional Fock space and applies the exponential of its
-vectorization to the vectorized state (``scipy.sparse.linalg.expm_multiply``,
-Al-Mohy and Higham's truncated Taylor series), so that covariance-level
-results can be checked against exact density-matrix evolution with no
-integrator error.  The jump operators are field operators of the
-eigenvectors of the positive matrix (1/2) Theta (I - M_B) Theta* (Majorana
-basis); depending on the tensor-product identification a fermion
-parity factor is appended to some of them, which is invisible on even states
-but matters for odd ones.
+vectorization, assembled from the effective Hamiltonian K, to the vectorized
+state (``scipy.sparse.linalg.expm_multiply``, Al-Mohy and Higham's truncated
+Taylor series), so that covariance-level results can be checked against
+exact density-matrix evolution with no integrator error.  The jump
+operators are field operators of the eigenvectors of the positive matrix
+(1/2) Theta (I - M_B) Theta* (Majorana basis), all built by one contraction
+with the cached Majorana stack of ``fock``; depending on the tensor-product
+identification a fermion parity factor is appended to some of them, which
+is invisible on even states but matters for odd ones.  ``apply_generator``
+keeps the first, literal form as the reference for the vectorization.
 
 Also provides the single interaction step of the underlying repeated
 interaction process, whose tau -> 0 limit with coupling 1/sqrt(tau) is the
@@ -40,7 +43,7 @@ from .fock import (
     DenseOperator,
     DenseState,
     IsomorphismTag,
-    _majoranas,
+    _field,
     _parity,
     embed,
     embed_b1sb2,
@@ -80,22 +83,12 @@ def _jumps_from_matrix(c: np.ndarray, mode_count: int, twisted: bool) -> list[np
     if lam.size and lam.min() < -PSD_CLAMP:
         raise NotPSD(f"jump coefficient matrix has eigenvalue {lam.min():.3e}")
     lam = np.clip(lam, 0.0, None)
-    gs = _majoranas(mode_count)
-    par = _parity(mode_count)
     cutoff = max(1e-12 * (lam.max() if lam.size else 0.0), 1e-300)
-    jumps = []
-    for k in range(len(lam)):
-        if lam[k] <= cutoff:
-            continue
-        op = np.zeros_like(gs[0])
-        for m in range(len(gs)):
-            if vec[m, k] != 0:
-                op += vec[m, k] * gs[m]
-        op *= np.sqrt(lam[k])
-        if twisted:
-            op = op @ par
-        jumps.append(op)
-    return jumps
+    keep = lam > cutoff
+    jumps = _field((vec[:, keep] * np.sqrt(lam[keep])).T, mode_count)
+    if twisted:
+        jumps = jumps @ _parity(mode_count)
+    return list(jumps)
 
 
 def build_lindbladian(spec: SemigroupSpec, iso: IsomorphismTag) -> DenseLindbladian:
@@ -150,16 +143,19 @@ def apply_generator(lind: DenseLindbladian, rho: np.ndarray) -> np.ndarray:
 
 
 def superoperator(lind: DenseLindbladian) -> np.ndarray:
-    """Column-stacked vectorization of the generator, a 4^L x 4^L matrix."""
-    dim = 2**lind.mode_count
-    eye = np.eye(dim)
-    h = lind.hamiltonian.entries
-    s = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
-    for jump in lind.jump_ops:
-        j = jump.entries
-        jdj = j.conj().T @ j
+    """Column-stacked vectorization of the generator, a 4^L x 4^L matrix.
+
+    Uses L(rho) = K rho + rho K* + sum_k L_k rho L_k* with the effective
+    Hamiltonian K = -i H - 1/2 sum_k L_k* L_k, so that vec(A rho B) =
+    (B^T kron A) vec(rho) needs one Kronecker product per jump plus two.
+    """
+    eye = np.eye(2**lind.mode_count)
+    jumps = [jump.entries for jump in lind.jump_ops]
+    k = -1j * lind.hamiltonian.entries - 0.5 * sum(j.conj().T @ j for j in jumps)
+    s = np.kron(eye, k)
+    s += np.kron(k.conj(), eye)
+    for j in jumps:
         s += np.kron(j.conj(), j)
-        s -= 0.5 * (np.kron(eye, jdj) + np.kron(jdj.T, eye))
     return s
 
 

@@ -189,15 +189,15 @@ def wick_moment(m: CovarianceMatrix, word: Sequence) -> complex:
     n = len(word)
     if n > N_MAX_WORD:
         raise WordTooLong(f"word length {n} exceeds {N_MAX_WORD}")
+    vecs = [np.asarray(x, dtype=complex) for x in word]
+    for x in vecs:
+        if x.shape != (2 * m.mode_count,):
+            raise StructureViolation(f"word vector has shape {x.shape}, expected {(2 * m.mode_count,)}")
     if n % 2 == 1:
         return 0.0 + 0.0j
     if n == 0:
         return 1.0 + 0.0j
     mm = convert_basis(m, BasisTag.MAJORANA).entries
-    vecs = [np.asarray(x, dtype=complex) for x in word]
-    for x in vecs:
-        if x.shape != (2 * m.mode_count,):
-            raise StructureViolation(f"word vector has shape {x.shape}, expected {(2 * m.mode_count,)}")
     kern = np.array([[2.0 * x @ mm @ y for y in vecs] for x in vecs])
     total = 0.0 + 0.0j
     for sign, pairs in _pairings(n):

@@ -115,6 +115,20 @@ def test_criterion_03_oracle_equivalence():
     print(f"ACCEPTANCE 3 PASS: oracle deviation {worst:.2e} in {elapsed:.1f}s")
 
 
+@pytest.mark.parametrize(
+    "L, K, iso", [(4, 2, IsomorphismTag.E_SB), (5, 1, IsomorphismTag.E_BS)], ids=["L4", "L5"]
+)
+def test_criterion_03_oracle_equivalence_at_benchmark_sizes(L, K, iso):
+    # the sizes the oracle-verify benchmark runs; one evolution at L = 6 peaks at about 1.3 GiB
+    rng = np.random.default_rng(2026 + L)
+    spec = random_semigroup(rng, L, K)
+    m0 = random_covariance(rng, L, beta=0.7)
+    dense = covariance_of(evolve_dense(build_lindbladian(spec, iso), quasifree_state(m0), 1.0))
+    fast = propagate(spec, m0, 1.0)
+    deviation = np.abs(convert_basis(dense, MAJ).entries - convert_basis(fast, MAJ).entries).max()
+    assert deviation <= 1e-8
+
+
 def test_criterion_04_kalman_hurwitz_unique():
     rng = np.random.default_rng(2024)
     for _ in range(200):

@@ -485,6 +485,12 @@ def _explicit_with(field, entries):
     return doc
 
 
+def _explicit_entry(field, entry):
+    doc = explicit_doc(random_semigroup(np.random.default_rng(7), 1, 1))
+    doc["explicit"][field][0][0] = entry
+    return doc
+
+
 def _preset(**section):
     return {"schema_version": 1, "preset": {"name": "one-end-chain", **section}}
 
@@ -492,6 +498,8 @@ def _preset(**section):
 _CHAIN = _preset()
 _M0_EIGENVALUE_1_2 = 0.5 * np.eye(6, dtype=complex)
 _M0_EIGENVALUE_1_2[0, 3], _M0_EIGENVALUE_1_2[3, 0] = 0.7j, -0.7j
+_M0_STRING_ENTRY = matrix_to_json(0.5 * np.eye(6))
+_M0_STRING_ENTRY[0][1] = "00"
 
 BAD_INPUTS = {
     # model data that fail their structural checks
@@ -509,6 +517,15 @@ BAD_INPUTS = {
     "parameters not an object": (_preset(parameters=[1, 2]), None, ["check"]),
     "unknown preset": ({"schema_version": 1, "preset": {"name": "chain"}}, None, ["check"]),
     "m0 file not an object": (_CHAIN, [1, 2], ["evolve", "--t-final", "1", "--samples", "2"]),
+    # matrix entries that are not [re, im] pairs of numbers
+    "string entry": (_explicit_entry("t_s", "00"), None, ["check"]),
+    "three-element entry": (_explicit_entry("t_s", [0, 0, 99]), None, ["check"]),
+    "boolean entry": (_explicit_entry("t_s", [False, False]), None, ["check"]),
+    "m0 string entry": (
+        _CHAIN,
+        {"basis": "majorana", "m0": _M0_STRING_ENTRY},
+        ["evolve", "--t-final", "1", "--samples", "2"],
+    ),
     # bad times
     "negative oracle time": (_CHAIN, None, ["oracle-compare", "--t=-1"]),
     "nan oracle time": (_CHAIN, None, ["oracle-compare", "--t", "nan"]),

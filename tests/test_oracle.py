@@ -97,6 +97,36 @@ class TestBuildLindbladian:
             assert np.abs(jump.entries @ vac).max() < 1e-12
 
 
+def _generator_case(case):
+    rng = np.random.default_rng(18)
+    if case == "xy E_B1SB2":
+        spec = xy_chain(
+            XYParams(length=3, kappa=0.7, h=0.1, theta1=1.0, theta2=0.9, bath1=0.8, bath2=0.2)
+        )
+        return build_lindbladian(spec, IsomorphismTag.E_B1SB2)
+    if case == "no jumps":
+        spec = make_semigroup(
+            random_qf(rng, 2), validate_coupling(np.zeros((4, 2)), MAJ), random_covariance(rng, 1)
+        )
+        lind = build_lindbladian(spec, IsomorphismTag.E_BS)
+        assert lind.jump_ops == []
+        return lind
+    return build_lindbladian(random_semigroup(rng, 3, 2), IsomorphismTag[case])
+
+
+class TestSuperoperator:
+    @pytest.mark.parametrize("case", ["E_SB", "E_BS", "xy E_B1SB2", "no jumps"])
+    def test_matches_apply_generator(self, case):
+        # the literal GKLS form is the reference for the vectorized generator
+        lind = _generator_case(case)
+        dim = 2**lind.mode_count
+        rng = np.random.default_rng(19)
+        x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        got = superoperator(lind) @ x.flatten("F")
+        expected = apply_generator(lind, x).flatten("F")
+        assert np.abs(got - expected).max() <= 1e-12 * max(1.0, np.abs(x).max())
+
+
 class TestEvolveDense:
     def test_time_zero_is_identity(self):
         rng = np.random.default_rng(5)

@@ -169,6 +169,15 @@ class TestWick:
         with pytest.raises(StructureViolation):
             wick_moment(m, [np.zeros(3), np.zeros(3)])
 
+    @pytest.mark.parametrize("length", [1, 3])
+    def test_wrong_vector_size_in_odd_word(self, length):
+        # odd words vanish, but only after their vectors pass the shape check
+        rng = np.random.default_rng(4)
+        m = random_covariance(rng, 2)
+        with pytest.raises(StructureViolation):
+            wick_moment(m, [np.zeros(7)] * length)
+        assert wick_moment(m, [np.zeros(4)] * length) == 0.0
+
 
 class TestSmallCovariance:
     def test_half_identity(self):
