@@ -33,7 +33,7 @@ from .lindblad import (
     propagate_series,
     stationary,
 )
-from .oracle import build_lindbladian, evolve_dense
+from .oracle import build_lindbladian, evolve_dense, generator_norm_bound
 from .phase import TAU_NUM, TAU_STRUCT, BasisTag, convert_basis, validate_coupling, validate_qf
 from .quasifree import CovarianceMatrix, small_from_full, validate_covariance
 
@@ -42,6 +42,9 @@ SCHEMA_VERSION = 1
 #: any matrix is built.  At the cap, ``stationary`` on the two-bath chain solves
 #: a 1024 x 1024 Lyapunov equation.
 L_MODEL_MAX = 512
+#: Largest t * ``generator_norm_bound`` an ``oracle-compare`` run may evolve;
+#: at L = 3 one unit costs about 2e-5 s of CPU, so an accepted run stays near 1 s.
+ORACLE_WORK_MAX = 5e4
 
 _INPUT_ERRORS = (StructureViolation, TooLarge, UnsupportedIso)
 #: What building a spec from malformed file or --set values raises.
@@ -137,7 +140,7 @@ PRESETS = {
 
 
 def _preset_parameters(name: str, parameters: dict) -> dict:
-    """The preset's defaults overridden by ``parameters``, with an integer length."""
+    """The preset's defaults overridden by ``parameters``, with an exact integer length."""
     if name not in PRESETS:
         raise UsageError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
     defaults, _ = PRESETS[name]
@@ -146,14 +149,20 @@ def _preset_parameters(name: str, parameters: dict) -> dict:
         raise UsageError(f"preset {name!r} does not accept parameters {sorted(unknown)}")
     merged = {**defaults, **parameters}
     if "length" in merged:
-        merged["length"] = int(merged["length"])
-        _check_mode_count("length", merged["length"])
+        merged["length"] = _mode_count("length", merged["length"])
     return merged
 
 
-def _check_mode_count(what: str, count: int) -> None:
-    if count > L_MODEL_MAX:
-        raise TooLarge(f"{what} {count} exceeds the model cap L_MODEL_MAX = {L_MODEL_MAX}")
+def _mode_count(what: str, value) -> int:
+    """``value`` as an exact integer count: an int that is not a bool, or an
+    integral float.  Raises ValueError otherwise, TooLarge above the cap."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if value > L_MODEL_MAX:
+        raise TooLarge(f"{what} {value} exceeds the model cap L_MODEL_MAX = {L_MODEL_MAX}")
+    return value
 
 
 def build_preset_spec(name: str, parameters: dict) -> SemigroupSpec:
@@ -202,9 +211,8 @@ def _spec_from_explicit(section) -> SemigroupSpec:
         basis = BasisTag(section["basis"])
     except ValueError:
         raise UsageError(f"unknown basis tag {section['basis']!r}")
-    L, K = int(section["mode_count"]), int(section["bath_modes"])
-    _check_mode_count("mode_count", L)
-    _check_mode_count("bath_modes", K)
+    L = _mode_count("mode_count", section["mode_count"])
+    K = _mode_count("bath_modes", section["bath_modes"])
     t_s, theta, m_b = (matrix_from_json(section[key], key) for key in ("t_s", "theta", "m_b"))
     if t_s.shape != (2 * L, 2 * L) or theta.shape != (2 * L, 2 * K) or m_b.shape != (2 * K, 2 * K):
         raise UsageError("declared mode counts do not match the matrices")
@@ -214,15 +222,12 @@ def _spec_from_explicit(section) -> SemigroupSpec:
 
 
 def spec_hash(spec: SemigroupSpec) -> str:
-    payload = json.dumps(
-        {
-            "t_s": matrix_to_json(spec.t_s.entries),
-            "theta": matrix_to_json(spec.theta.entries),
-            "m_b": matrix_to_json(spec.m_b.entries),
-        },
-        sort_keys=True,
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+    """SHA-256 prefix of the shapes and little-endian complex128 bytes of T_S, Theta and M_B."""
+    digest = hashlib.sha256()
+    for m in (spec.t_s.entries, spec.theta.entries, spec.m_b.entries):
+        digest.update(np.asarray(m.shape, dtype="<i8").tobytes())
+        digest.update(np.ascontiguousarray(m, dtype="<c16").tobytes())
+    return digest.hexdigest()[:16]
 
 
 def _metadata(spec: SemigroupSpec) -> dict:
@@ -360,6 +365,9 @@ def cmd_oracle_compare(args, out, err) -> int:
         raise TooLarge(f"oracle comparison is limited to L <= 3, K <= 2 (got L={L}, K={K})")
     iso = IsomorphismTag[args.iso]
     lind = build_lindbladian(spec, iso)
+    work = args.t * generator_norm_bound(lind)
+    if not work <= ORACLE_WORK_MAX:
+        raise TooLarge(f"oracle work t * |L|_1 = {work:.3e} exceeds ORACLE_WORK_MAX = {ORACLE_WORK_MAX:g}")
     dim = 2**L
     rho0 = DenseState(op=DenseOperator(entries=np.eye(dim, dtype=complex) / dim, mode_count=L))
     m0 = validate_covariance(0.5 * np.eye(2 * L), BasisTag.MAJORANA)

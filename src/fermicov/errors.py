@@ -8,11 +8,12 @@ class FermicovError(Exception):
 class StructureViolation(FermicovError):
     """A matrix does not satisfy the structural form required by its tag.
 
-    Carries the largest offending residual in ``residual``.
+    Carries the largest offending residual in ``residual``, or None when the
+    violation has no residual (a wrong shape or mode count).
     """
 
-    def __init__(self, message: str, residual: float = float("nan")):
-        super().__init__(f"{message} (residual {residual:.3e})")
+    def __init__(self, message: str, residual: float | None = None):
+        super().__init__(message if residual is None else f"{message} (residual {residual:.3e})")
         self.residual = residual
 
 

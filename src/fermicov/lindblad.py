@@ -43,7 +43,7 @@ from .phase import (
     CouplingMatrix,
     HamiltonianMatrix,
     _as_matrix,
-    _hermiticity_residual,
+    _check_hermitian,
     _max_abs,
     _scale,
     _tol,
@@ -139,11 +139,9 @@ def make_semigroup(t_s: HamiltonianMatrix, theta: CouplingMatrix, m_b: Covarianc
     th = convert_basis(theta, BasisTag.MAJORANA)
     mb = convert_basis(m_b, BasisTag.MAJORANA)
     drift, pump = _drift_pump(t.entries, th.entries, mb.entries)
-    res = _hermiticity_residual(pump)
-    if res > _tol(pump):
-        raise StructureViolation("pump matrix is not Hermitian", res)
-    eigs = np.linalg.eigvalsh((pump + pump.conj().T) / 2)
-    if eigs.size and eigs.min() < -_tol(pump):
+    tol = _tol(pump)
+    eigs = np.linalg.eigvalsh(_check_hermitian(pump, "pump matrix", tol))
+    if eigs.size and eigs.min() < -tol:
         raise StructureViolation("pump matrix is not positive semidefinite", float(-eigs.min()))
     return SemigroupSpec(t_s=t, theta=th, m_b=mb, drift=drift, pump=pump)
 
@@ -151,9 +149,7 @@ def make_semigroup(t_s: HamiltonianMatrix, theta: CouplingMatrix, m_b: Covarianc
 def make_gauge_invariant(t_s0, theta0, m_b0) -> GaugeInvariantSpec:
     """Assemble and validate an L x L gauge-invariant spec."""
     t0 = _as_matrix(t_s0)
-    res = _hermiticity_residual(t0)
-    if res > _tol(t0):
-        raise StructureViolation("gauge-invariant Hamiltonian matrix must be Hermitian", res)
+    _check_hermitian(t0, "gauge-invariant Hamiltonian matrix", _tol(t0))
     th0 = _as_matrix(theta0)
     if th0.shape[0] != t0.shape[0]:
         raise StructureViolation(f"coupling rows {th0.shape[0]} do not match {t0.shape[0]} modes")

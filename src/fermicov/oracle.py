@@ -142,21 +142,36 @@ def apply_generator(lind: DenseLindbladian, rho: np.ndarray) -> np.ndarray:
     return out
 
 
+def _effective_hamiltonian(lind: DenseLindbladian) -> np.ndarray:
+    """K = -i H - 1/2 sum_k L_k* L_k."""
+    jumps = [jump.entries for jump in lind.jump_ops]
+    return -1j * lind.hamiltonian.entries - 0.5 * sum(j.conj().T @ j for j in jumps)
+
+
 def superoperator(lind: DenseLindbladian) -> np.ndarray:
     """Column-stacked vectorization of the generator, a 4^L x 4^L matrix.
 
     Uses L(rho) = K rho + rho K* + sum_k L_k rho L_k* with the effective
-    Hamiltonian K = -i H - 1/2 sum_k L_k* L_k, so that vec(A rho B) =
-    (B^T kron A) vec(rho) needs one Kronecker product per jump plus two.
+    Hamiltonian K, so that vec(A rho B) = (B^T kron A) vec(rho) needs one
+    Kronecker product per jump plus two.
     """
     eye = np.eye(2**lind.mode_count)
-    jumps = [jump.entries for jump in lind.jump_ops]
-    k = -1j * lind.hamiltonian.entries - 0.5 * sum(j.conj().T @ j for j in jumps)
+    k = _effective_hamiltonian(lind)
     s = np.kron(eye, k)
     s += np.kron(k.conj(), eye)
-    for j in jumps:
-        s += np.kron(j.conj(), j)
+    for jump in lind.jump_ops:
+        s += np.kron(jump.entries.conj(), jump.entries)
     return s
+
+
+def generator_norm_bound(lind: DenseLindbladian) -> float:
+    """2 |K|_1 + sum_k |L_k|_1^2, a bound on the 1-norm of ``superoperator(lind)``.
+
+    Uses only 2^L x 2^L matrices, so it prices a dense evolution, whose cost
+    grows with t times this norm, before the superoperator is built.
+    """
+    jumps = sum(np.linalg.norm(jump.entries, 1) ** 2 for jump in lind.jump_ops)
+    return float(2 * np.linalg.norm(_effective_hamiltonian(lind), 1) + jumps)
 
 
 def evolve_dense(lind: DenseLindbladian, rho0: DenseState, t: float) -> DenseState:

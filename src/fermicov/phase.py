@@ -13,6 +13,13 @@ applied with the size of the left (row) space on the left and the size of the
 right (column) space on the right.  S is 1/sqrt(2) times a unitary, so the
 conjugation preserves spectra and Hermiticity.
 
+Particle-hole structure is one fact in the Majorana basis: a Hamiltonian or
+coupling matrix is i*(real), a covariance matrix is I/2 + i*(real) and a
+Bogoliubov transform is real.  Every tagged value checks it the same way,
+through ``_check_particle_hole``: its entries are converted to the Majorana
+basis (Majorana-tagged entries are read in place) and their real or imaginary
+part is compared with the target.
+
 A tagged value is validated once, by the function that builds it: a
 ``validate_*`` constructor for caller data, each computation for its result.
 A function that receives a tagged value trusts its tag.
@@ -44,7 +51,7 @@ class BasisTag(Enum):
 def _as_matrix(entries) -> np.ndarray:
     m = np.asarray(entries, dtype=complex)
     if m.ndim != 2:
-        raise StructureViolation("expected a matrix", float("nan"))
+        raise StructureViolation("expected a matrix")
     if not np.all(np.isfinite(m)):
         raise StructureViolation("matrix has non-finite entries", float("inf"))
     return m
@@ -54,8 +61,8 @@ def _scale(m: np.ndarray) -> float:
     return max(1.0, float(np.abs(m).max())) if m.size else 1.0
 
 
-def _tol(m: np.ndarray, tau: float = TAU_STRUCT) -> float:
-    return tau * _scale(m)
+def _tol(m: np.ndarray) -> float:
+    return TAU_STRUCT * _scale(m)
 
 
 def _max_abs(m) -> float:
@@ -72,8 +79,9 @@ def _basis_pair(n: int):
 
 
 def _convert_entries(entries: np.ndarray, source: BasisTag, target: BasisTag) -> np.ndarray:
+    """The entries re-expressed in ``target``; the array itself when the bases agree."""
     if source is target:
-        return entries.copy()
+        return entries
     rows, cols = entries.shape
     sl, sl_inv = _basis_pair(rows // 2)
     sr, sr_inv = _basis_pair(cols // 2)
@@ -89,8 +97,22 @@ def _check_even_square(m: np.ndarray) -> int:
     return rows // 2
 
 
-def _hermiticity_residual(m: np.ndarray) -> float:
-    return _max_abs(m - m.conj().T)
+def _check_hermitian(m: np.ndarray, what: str, tol: float) -> np.ndarray:
+    """Reject m unless it is Hermitian within ``tol``; return (m + m*)/2.
+
+    A NaN residual (from an overflowed computation) is rejected too."""
+    adj = m.conj().T
+    res = _max_abs(m - adj)
+    if not res <= tol:
+        raise StructureViolation(f"{what} is not Hermitian", res)
+    return (m + adj) / 2
+
+
+def _check_particle_hole(value, tol: float, message: str, part=np.real, target=0.0) -> None:
+    """``part`` of a tagged value's Majorana-basis entries must equal ``target``."""
+    res = _max_abs(part(_convert_entries(value.entries, value.basis, BasisTag.MAJORANA)) - target)
+    if not res <= tol:
+        raise StructureViolation(message, res)
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,30 +123,13 @@ class HamiltonianMatrix:
     basis: BasisTag
     mode_count: int
 
-    def validate(self, tau: float = TAU_STRUCT) -> None:
+    def validate(self) -> None:
         m = self.entries
-        tol = _tol(m, tau)
         if m.shape != (2 * self.mode_count, 2 * self.mode_count):
             raise StructureViolation(f"shape {m.shape} does not match mode count {self.mode_count}")
-        res = _hermiticity_residual(m)
-        if res > tol:
-            raise StructureViolation("quadratic-form matrix is not Hermitian", res)
-        if self.basis is BasisTag.MAJORANA:
-            res = _max_abs(m.real)
-            if res > tol:
-                raise StructureViolation("Majorana-basis matrix is not of the form i*R, R real", res)
-        else:
-            L = self.mode_count
-            a, b = m[:L, :L], m[:L, L:]
-            c, d = m[L:, :L], m[L:, L:]
-            res = max(
-                _hermiticity_residual(a),
-                _max_abs(b + b.T),
-                _max_abs(c + b.conj()),
-                _max_abs(d + a.conj()),
-            )
-            if res > tol:
-                raise StructureViolation("matrix lacks the [[A, B], [-conj B, -conj A]] block form", res)
+        tol = _tol(m)
+        _check_hermitian(m, "quadratic-form matrix", tol)
+        _check_particle_hole(self, tol, "Majorana-basis matrix is not of the form i*R, R real")
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,16 +141,13 @@ class CouplingMatrix:
     system_modes: int
     bath_modes: int
 
-    def validate(self, tau: float = TAU_STRUCT) -> None:
+    def validate(self) -> None:
         m = self.entries
         if m.shape != (2 * self.system_modes, 2 * self.bath_modes):
             raise StructureViolation(
                 f"shape {m.shape} does not match ({self.system_modes}, {self.bath_modes}) modes"
             )
-        maj = _convert_entries(m, self.basis, BasisTag.MAJORANA)
-        res = _max_abs(maj.real)
-        if res > _tol(m, tau):
-            raise StructureViolation("coupling is not of the form i*W with W real", res)
+        _check_particle_hole(self, _tol(m), "coupling is not of the form i*W with W real")
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,22 +161,14 @@ class BogoliubovTransform:
     def mode_count(self) -> int:
         return self.entries.shape[0] // 2
 
-    def validate(self, tau: float = TAU_STRUCT) -> None:
+    def validate(self) -> None:
         m = self.entries
         n = _check_even_square(m)
-        tol = _tol(m, tau)
+        tol = _tol(m)
         res = _max_abs(m @ m.conj().T - np.eye(2 * n))
         if res > tol:
             raise StructureViolation("transform is not unitary", res)
-        if self.basis is BasisTag.MAJORANA:
-            res = _max_abs(m.imag)
-            if res > tol:
-                raise StructureViolation("Majorana-basis transform is not real", res)
-        else:
-            g, mu = m[:n, :n], m[:n, n:]
-            res = max(_max_abs(m[n:, :n] - mu.conj()), _max_abs(m[n:, n:] - g.conj()))
-            if res > tol:
-                raise StructureViolation("transform lacks the [[g, m], [conj m, conj g]] form", res)
+        _check_particle_hole(self, tol, "Majorana-basis transform is not real", part=np.imag)
 
 
 def convert_basis(m, target: BasisTag):

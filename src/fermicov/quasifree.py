@@ -22,19 +22,26 @@ import scipy.linalg
 
 from .errors import StructureViolation, WordTooLong
 from .phase import (
-    TAU_STRUCT,
     BasisTag,
     HamiltonianMatrix,
     _as_matrix,
     _check_even_square,
-    _hermiticity_residual,
-    _max_abs,
+    _check_hermitian,
+    _check_particle_hole,
     _tol,
     convert_basis,
 )
 
 #: Longest moment word accepted by the pairing enumeration (10395 pairings).
 N_MAX_WORD = 12
+
+
+def _check_unit_spectrum(m: np.ndarray, what: str, tol: float) -> None:
+    """Hermitian, with every eigenvalue in [0, 1]."""
+    eigs = np.linalg.eigvalsh(_check_hermitian(m, what, tol))
+    res = max(float(-eigs.min()), float(eigs.max() - 1.0))
+    if res > tol:
+        raise StructureViolation(f"{what} eigenvalues leave [0, 1]", res)
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,32 +52,14 @@ class CovarianceMatrix:
     basis: BasisTag
     mode_count: int
 
-    def validate(self, tau: float = TAU_STRUCT) -> None:
+    def validate(self) -> None:
         m = self.entries
-        tol = _tol(m, tau)
         if m.shape != (2 * self.mode_count, 2 * self.mode_count):
             raise StructureViolation(f"shape {m.shape} does not match mode count {self.mode_count}")
-        res = _hermiticity_residual(m)
-        if res > tol:
-            raise StructureViolation("covariance matrix is not Hermitian", res)
-        eigs = np.linalg.eigvalsh((m + m.conj().T) / 2)
-        res = max(float(-eigs.min()), float(eigs.max() - 1.0))
-        if res > tol:
-            raise StructureViolation("covariance eigenvalues leave [0, 1]", res)
-        L = self.mode_count
-        if self.basis is BasisTag.MAJORANA:
-            res = _max_abs(m.real - 0.5 * np.eye(2 * L))
-            if res > tol:
-                raise StructureViolation("Majorana covariance is not of the form I/2 + i R", res)
-        else:
-            m0, a = m[:L, :L], m[:L, L:]
-            res = max(
-                _max_abs(a + a.T),
-                _max_abs(m[L:, :L] + a.conj()),
-                _max_abs(m[L:, L:] - (np.eye(L) - m0.conj())),
-            )
-            if res > tol:
-                raise StructureViolation("covariance lacks the [[M0, A], [-conj A, I - conj M0]] form", res)
+        tol = _tol(m)
+        _check_unit_spectrum(m, "covariance", tol)
+        message = "Majorana covariance is not of the form I/2 + i R"
+        _check_particle_hole(self, tol, message, target=0.5 * np.eye(len(m)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,18 +69,11 @@ class SmallCovarianceMatrix:
     entries: np.ndarray
     mode_count: int
 
-    def validate(self, tau: float = TAU_STRUCT) -> None:
+    def validate(self) -> None:
         m = self.entries
-        tol = _tol(m, tau)
         if m.shape != (self.mode_count, self.mode_count):
             raise StructureViolation(f"shape {m.shape} does not match mode count {self.mode_count}")
-        res = _hermiticity_residual(m)
-        if res > tol:
-            raise StructureViolation("small covariance is not Hermitian", res)
-        eigs = np.linalg.eigvalsh((m + m.conj().T) / 2)
-        res = max(float(-eigs.min()), float(eigs.max() - 1.0))
-        if res > tol:
-            raise StructureViolation("small covariance eigenvalues leave [0, 1]", res)
+        _check_unit_spectrum(m, "small covariance", _tol(m))
 
 
 def validate_covariance(entries, basis: BasisTag) -> CovarianceMatrix:
@@ -127,9 +109,7 @@ def covariance_from_gibbs(t: HamiltonianMatrix, beta: float) -> CovarianceMatrix
 def small_covariance_from_gibbs(t0, beta: float) -> SmallCovarianceMatrix:
     """Gauge-invariant convenience: (I + e^{-beta T0})^{-1} for Hermitian T0."""
     t0 = _as_matrix(t0)
-    res = _hermiticity_residual(t0)
-    if res > _tol(t0):
-        raise StructureViolation("gauge-invariant one-body matrix must be Hermitian", res)
+    _check_hermitian(t0, "gauge-invariant one-body matrix", _tol(t0))
     w, v = scipy.linalg.eigh(t0)
     return validate_small_covariance((v * _logistic(beta * w)) @ v.conj().T)
 

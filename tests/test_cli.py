@@ -66,6 +66,28 @@ class TestSerialization:
         assert np.array_equal(loaded.m_b.entries, spec.m_b.entries)
 
 
+class TestSpecHash:
+    def test_same_spec_built_twice_hashes_the_same(self):
+        a = build_preset_spec("xy", {"length": 5})
+        b = build_preset_spec("xy", {"length": 5})
+        assert a is not b
+        assert cli.spec_hash(a) == cli.spec_hash(b)
+
+    def test_one_ulp_changes_the_hash(self, tmp_path):
+        spec = random_semigroup(np.random.default_rng(3), 2, 1)
+        doc = explicit_doc(spec)
+        real, imag = doc["explicit"]["theta"][1][1]
+        doc["explicit"]["theta"][1][1] = [real, float(np.nextafter(imag, np.inf))]
+        moved, _ = load_model(write_model(tmp_path, doc))
+        assert np.count_nonzero(moved.theta.entries != spec.theta.entries) == 1
+        assert cli.spec_hash(moved) != cli.spec_hash(spec)
+
+    def test_shape_enters_the_hash(self):
+        a = build_preset_spec("star", {"length": 2})
+        b = build_preset_spec("star", {"length": 3})
+        assert cli.spec_hash(a) != cli.spec_hash(b)
+
+
 class TestCheck:
     def test_chain_preset_unique(self, tmp_path):
         code, out, _ = run_cli("model", "build", "two-bath-chain", "--set", "length=5")
@@ -381,6 +403,37 @@ class TestModelCap:
         assert cli._preset_parameters("two-bath-chain", {"length": L_MODEL_MAX})["length"] == L_MODEL_MAX
 
 
+class TestOracleCap:
+    """A dense evolution whose priced work exceeds the cap is refused before
+    any exponential is taken."""
+
+    @pytest.fixture(autouse=True)
+    def no_evolution(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an over-cap dense evolution was started")
+
+        monkeypatch.setattr(cli, "evolve_dense", refuse)
+        monkeypatch.setattr(cli, "propagate", refuse)
+
+    @pytest.mark.parametrize(
+        "parameters, args",
+        [({}, ["--t", "1e300"]), ({"theta": 1e6}, []), ({"theta": 300.0}, [])],
+        ids=["t 1e300", "theta 1e6", "theta 300"],
+    )
+    def test_exits_one_before_evolving(self, parameters, args, tmp_path):
+        doc = {"schema_version": 1, "preset": {"name": "one-end-chain", "parameters": parameters}}
+        code, out, err = run_cli("oracle-compare", write_model(tmp_path, doc), *args)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: TooLarge: ") and err.count("\n") == 1
+        assert "ORACLE_WORK_MAX" in err
+
+    def test_work_is_priced_from_the_bound(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "generator_norm_bound", lambda lind: cli.ORACLE_WORK_MAX)
+        code, _, err = run_cli("oracle-compare", write_model(tmp_path, _preset()), "--t", "1.5")
+        assert code == 1 and "TooLarge" in err
+
+
 class TestOracleCompare:
     def test_small_explicit_model(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -440,6 +493,18 @@ class TestExitCodes:
         got, out, err = run_cli("check", "model.json")
         assert (got, out) == (code, "")
         assert err == f"error: {error.__name__}: {exc}\n"
+
+    def test_structure_violation_without_a_residual(self):
+        code, out, err = run_cli("model", "build", "xy", "--set", "length=1")
+        assert (code, out) == (1, "")
+        assert err == "error: StructureViolation: spin chain needs at least 2 sites\n"
+
+    def test_structure_violation_message(self):
+        assert str(errors.StructureViolation("bad shape")) == "bad shape"
+        assert errors.StructureViolation("bad shape").residual is None
+        exc = errors.StructureViolation("not Hermitian", 2.5e-3)
+        assert str(exc) == "not Hermitian (residual 2.500e-03)"
+        assert exc.residual == 2.5e-3
 
     def test_missing_file(self):
         code, _, err = run_cli("check", "/nonexistent/model.json")
@@ -536,6 +601,14 @@ BAD_INPUTS = {
     "negative max deviation": (_CHAIN, None, ["oracle-compare", "--max-deviation=-1"]),
     "model build length nan": (None, None, ["model", "build", "star", "--set", "length=nan"]),
     "model build length infinite": (None, None, ["model", "build", "star", "--set", "length=inf"]),
+    # counts that are not exact integers
+    "model build length 5.7": (None, None, ["model", "build", "two-bath-chain", "--set", "length=5.7"]),
+    "length 2.9": (_preset(parameters={"length": 2.9}), None, ["check"]),
+    "length true": (_preset(parameters={"length": True}), None, ["check"]),
+    "mode_count 1.5": (_explicit_with("mode_count", 1.5), None, ["check"]),
+    "mode_count true": (_explicit_with("mode_count", True), None, ["check"]),
+    "mode_count string": (_explicit_with("mode_count", "1"), None, ["check"]),
+    "bath_modes 1.5": (_explicit_with("bath_modes", 1.5), None, ["check"]),
 }
 
 
@@ -550,6 +623,22 @@ class TestBadInputs:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestCounts:
+    def test_integral_float_counts_are_accepted(self, tmp_path):
+        doc = explicit_doc(random_semigroup(np.random.default_rng(7), 1, 1))
+        code, out, _ = run_cli("check", write_model(tmp_path, doc))
+        doc["explicit"]["mode_count"] = 1.0
+        doc["explicit"]["bath_modes"] = 1.0
+        assert run_cli("check", write_model(tmp_path, doc, name="float.json")) == (code, out, "")
+        assert code == 0
+
+    def test_model_build_writes_an_integer_length(self):
+        code, out, _ = run_cli("model", "build", "two-bath-chain", "--set", "length=5.0")
+        assert code == 0
+        assert json.loads(out)["preset"]["parameters"]["length"] == 5
+        assert '"length": 5,' in out
 
 
 class TestPresets:

@@ -27,7 +27,7 @@ from fermicov import (
     xy_chain,
 )
 from fermicov.models import XYParams
-from fermicov.oracle import apply_generator, superoperator
+from fermicov.oracle import apply_generator, generator_norm_bound, superoperator
 
 from conftest import random_covariance, random_qf, random_semigroup
 
@@ -125,6 +125,12 @@ class TestSuperoperator:
         got = superoperator(lind) @ x.flatten("F")
         expected = apply_generator(lind, x).flatten("F")
         assert np.abs(got - expected).max() <= 1e-12 * max(1.0, np.abs(x).max())
+
+    @pytest.mark.parametrize("case", ["E_SB", "E_BS", "xy E_B1SB2", "no jumps"])
+    def test_norm_bound_covers_the_one_norm(self, case):
+        lind = _generator_case(case)
+        norm = np.linalg.norm(superoperator(lind), 1)
+        assert norm <= generator_norm_bound(lind) * (1 + 1e-12)
 
 
 class TestEvolveDense:

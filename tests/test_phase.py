@@ -9,9 +9,10 @@ from fermicov import (
     block_reduce,
     convert_basis,
     expm,
+    validate_coupling,
     validate_qf,
 )
-from fermicov.phase import _convert_entries
+from fermicov.phase import CouplingMatrix, _check_hermitian, _convert_entries
 
 from conftest import random_coupling, random_qf
 
@@ -102,6 +103,87 @@ class TestValidateQf:
         t[0, 1] += 0.5  # breaks Hermitian A against the mirrored block
         with pytest.raises(StructureViolation):
             validate_qf(t, CA)
+
+    # Hermitian matrices that differ from a valid twin only in particle-hole
+    # structure: each must fail on that check alone.
+
+    @staticmethod
+    def _ca_blocks(b):
+        a = np.array([[0.4, 0.3 - 0.2j], [0.3 + 0.2j, -0.7]])
+        return np.block([[a, b], [b.conj().T, -a.conj()]])
+
+    def test_ca_pairing_block_must_be_antisymmetric(self):
+        b = np.array([[0.0, 0.6 + 0.1j], [-0.6 - 0.1j, 0.0]])
+        assert validate_qf(self._ca_blocks(b), CA).mode_count == 2
+        sym = np.array([[0.2, 0.6 + 0.1j], [0.6 + 0.1j, -0.3j]])
+        with pytest.raises(StructureViolation, match="i\\*R") as info:
+            validate_qf(self._ca_blocks(sym), CA)
+        assert info.value.residual > 0.1
+
+
+class TestValidateCoupling:
+    def test_ca_lower_blocks_must_mirror_upper(self):
+        th0 = np.array([[0.8 + 0.1j], [0.0], [0.3j]])
+        z = np.zeros((3, 1))
+        assert validate_coupling(np.block([[th0, z], [z, -th0.conj()]]), CA).bath_modes == 1
+        with pytest.raises(StructureViolation, match="i\\*W"):
+            validate_coupling(np.block([[th0, z], [z, th0]]), CA)
+
+    def test_majorana_coupling_must_be_imaginary(self):
+        w = np.array([[0.5, -1.0], [0.0, 2.0]])
+        validate_coupling(1j * w, MAJ)
+        with pytest.raises(StructureViolation, match="i\\*W"):
+            validate_coupling(1j * w + 0.01, MAJ)
+
+
+class TestBogoliubovValidate:
+    """Unitary matrices that differ from a valid twin only in particle-hole structure."""
+
+    @staticmethod
+    def _validate(entries, basis):
+        BogoliubovTransform(entries=np.asarray(entries, dtype=complex), basis=basis).validate()
+
+    def test_ca_transform_needs_conjugate_lower_blocks(self):
+        phases = np.exp(1j * np.array([0.3, -1.1]))
+        self._validate(np.diag(np.concatenate([phases, phases.conj()])), CA)
+        with pytest.raises(StructureViolation, match="not real"):
+            # unitary, but the lower-right block is g, not conj(g)
+            self._validate(np.diag(np.concatenate([phases, phases])), CA)
+
+    def test_ca_transform_mixing_pairs(self):
+        c, s = np.cos(0.4), np.sin(0.4)
+        g, m = c * np.eye(2), 1j * s * np.array([[0.0, 1.0], [-1.0, 0.0]])
+        u = np.block([[g, m], [m.conj(), g.conj()]])
+        self._validate(u, CA)
+        with pytest.raises(StructureViolation, match="not real"):
+            # still unitary, but the phase on one column breaks the mirrored form
+            self._validate(u @ np.diag(np.exp(1j * np.array([0.5, 0.0, 0.0, 0.0]))), CA)
+
+    def test_majorana_transform_must_be_real(self):
+        c, s = np.cos(0.7), np.sin(0.7)
+        rot = np.array([[c, -s, 0, 0], [s, c, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+        self._validate(rot, MAJ)
+        with pytest.raises(StructureViolation, match="not real"):
+            self._validate(np.exp(0.2j) * rot, MAJ)
+
+    def test_non_unitary_rejected_first(self):
+        with pytest.raises(StructureViolation, match="unitary"):
+            self._validate(2 * np.eye(2), MAJ)
+
+
+def test_nan_residual_is_rejected():
+    # an overflowed product, such as the pump of a coupling near 1e200, is NaN
+    pump = np.array([[1.0, np.nan], [np.nan, 1.0]])
+    with pytest.raises(StructureViolation, match="not Hermitian"):
+        _check_hermitian(pump, "pump matrix", 1e-9)
+    nan = np.array([[np.nan, 0.0]] * 2)
+    with pytest.raises(StructureViolation, match="i\\*W"):
+        CouplingMatrix(entries=nan, basis=MAJ, system_modes=1, bath_modes=1).validate()
+
+
+def test_same_basis_conversion_is_the_array_itself():
+    m = np.eye(4, dtype=complex)
+    assert _convert_entries(m, MAJ, MAJ) is m
 
 
 class TestBlockReduce:

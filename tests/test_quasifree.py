@@ -224,3 +224,22 @@ class TestValidation:
         m[0, 2] += 0.05  # pairing block must stay antisymmetric
         with pytest.raises(StructureViolation):
             validate_covariance(m, CA)
+
+    # Hermitian matrices with spectrum in [0, 1] that differ from a valid twin
+    # only in particle-hole structure: each must fail on that check alone.
+
+    def test_ca_lower_right_block_must_be_i_minus_conj_m0(self):
+        m0 = small_covariance_from_gibbs(np.array([[0.7, 0.2j], [-0.2j, -0.4]]), 1.0).entries
+        z = np.zeros((2, 2))
+        validate_covariance(np.block([[m0, z], [z, np.eye(2) - m0.conj()]]), CA)
+        with pytest.raises(StructureViolation, match="I/2 \\+ i R") as info:
+            validate_covariance(np.block([[m0, z], [z, m0]]), CA)
+        assert info.value.residual > 0.1
+
+    def test_ca_pairing_block_must_be_antisymmetric(self):
+        a = 0.2 * np.array([[0.0, 1.0], [-1.0, 0.0]])
+        valid = np.block([[0.5 * np.eye(2), a], [a.conj().T, 0.5 * np.eye(2)]])
+        validate_covariance(valid, CA)
+        sym = 0.2 * np.array([[1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(StructureViolation, match="I/2 \\+ i R"):
+            validate_covariance(np.block([[0.5 * np.eye(2), sym], [sym, 0.5 * np.eye(2)]]), CA)
