@@ -42,8 +42,12 @@ SCHEMA_VERSION = 1
 #: any matrix is built.  At the cap, ``stationary`` on the two-bath chain solves
 #: a 1024 x 1024 Lyapunov equation.
 L_MODEL_MAX = 512
-#: Largest t * ``generator_norm_bound`` an ``oracle-compare`` run may evolve;
-#: at L = 3 one unit costs about 2e-5 s of CPU, so an accepted run stays near 1 s.
+#: Largest t * ``generator_norm_bound`` an ``oracle-compare`` run may evolve.
+#: At L = 3 one unit costs about 1.5e-5 s of CPU on one thread (``--t 1e4`` on
+#: the default ``one-end-chain``, 5e4 units, takes 0.73-0.77 s), so an accepted
+#: run stays under 1 s.  On 8 x 8 matrices numpy's per-call overhead outweighs
+#: the flops the matrix-free Taylor action saves: the 64 x 64 superoperator it
+#: replaced took 0.38 s for the same run.
 ORACLE_WORK_MAX = 5e4
 
 _INPUT_ERRORS = (StructureViolation, TooLarge, UnsupportedIso)

@@ -9,8 +9,9 @@ space through the standard string construction: occupation words u in
 The annihilators are real, and the 2n Majorana operators are kept as one
 cached stack of shape (2n, 2^n, 2^n).  Every operator linear in the fields
 comes from one contraction with that stack, ``_field(x, n) = sum_i x_i g_i``:
-field operators, each row of a quadratic Hamiltonian (sum_i g_i phi(h_i)),
-and the oracle's jump operators.  Everything downstream (Gibbs states,
+field operators, each row of a quadratic Hamiltonian (sum_i g_i phi(h_i),
+where each g_i, a signed permutation, is applied as a row gather), and the
+oracle's jump operators.  Everything downstream (Gibbs states,
 tensor embeddings, partial traces, covariance extraction) is exact dense
 linear algebra, intended as the brute-force verification path for the
 covariance machinery.  Sizes are capped at ``N_DENSE_MAX`` total modes.
@@ -103,6 +104,18 @@ def _majoranas(n: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def _majorana_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each g_i as the signed permutation it is: (columns, phases), each of shape
+    (2n, 2^n), with phases[i, r] = (g_i)[r, columns[i, r]] the only nonzero of row r."""
+    gs = _majoranas(n)
+    columns = np.abs(gs).argmax(axis=2)
+    phases = np.take_along_axis(gs, columns[..., None], axis=2)[..., 0]
+    columns.flags.writeable = False
+    phases.flags.writeable = False
+    return columns, phases
+
+
 def _field(coords: np.ndarray, n: int) -> np.ndarray:
     """sum_i x_i g_i for Majorana coordinates x of shape (..., 2n)."""
     return np.tensordot(coords, _majoranas(n), axes=1)
@@ -143,7 +156,9 @@ def quadratic_hamiltonian(t: HamiltonianMatrix, prefactor: float) -> DenseOperat
     n = t.mode_count
     _check_size(n)
     h = prefactor * 0.5 * convert_basis(t, BasisTag.MAJORANA).entries
-    out = sum(g @ _field(row, n) for g, row in zip(_majoranas(n), h))
+    # g_i phi(h_i) as a row gather: g_i is a signed permutation, so no dense product
+    columns, phases = _majorana_rows(n)
+    out = sum(p[:, None] * _field(row, n)[c] for c, p, row in zip(columns, phases, h))
     out = (out + out.conj().T) / 2
     return DenseOperator(entries=out, mode_count=n)
 

@@ -5,17 +5,19 @@ Builds the exact generator
     L(rho) = -i [H_S, rho] + sum_k L_k rho L_k* - 1/2 {L_k* L_k, rho}
            = K rho + rho K* + sum_k L_k rho L_k*,  K = -i H_S - 1/2 sum_k L_k* L_k
 
-on the 2^L-dimensional Fock space and applies the exponential of its
-vectorization, assembled from the effective Hamiltonian K, to the vectorized
-state (``scipy.sparse.linalg.expm_multiply``, Al-Mohy and Higham's truncated
-Taylor series), so that covariance-level results can be checked against
-exact density-matrix evolution with no integrator error.  The jump
-operators are field operators of the eigenvectors of the positive matrix
-(1/2) Theta (I - M_B) Theta* (Majorana basis), all built by one contraction
-with the cached Majorana stack of ``fock``; depending on the tensor-product
-identification a fermion parity factor is appended to some of them, which
-is invisible on even states but matters for odd ones.  ``apply_generator``
-keeps the first, literal form as the reference for the vectorization.
+on the 2^L-dimensional Fock space and applies its exponential to a density
+matrix by Al-Mohy and Higham's truncated Taylor action (SIAM J. Sci. Comput.
+33:488, 2011), so that covariance-level results can be checked against
+exact density-matrix evolution with no integrator error.  The state stays a
+2^L x 2^L matrix and each product with the generator is the second form
+above, O(8^L) work; the 4^L x 4^L vectorization (``superoperator``) is built
+only for the kernel (``stationary_dense``).  The jump operators are field
+operators of the eigenvectors of the positive matrix (1/2) Theta (I - M_B)
+Theta* (Majorana basis), all built by one contraction with the cached
+Majorana stack of ``fock``; depending on the tensor-product identification a
+fermion parity factor is appended to some of them, which is invisible on
+even states but matters for odd ones.  ``apply_generator`` keeps the first,
+literal form as the reference for both.
 
 Also provides the single interaction step of the underlying repeated
 interaction process, whose tau -> 0 limit with coupling 1/sqrt(tau) is the
@@ -53,10 +55,19 @@ from .fock import (
 from .lindblad import SemigroupSpec
 from .phase import BasisTag, HamiltonianMatrix, _max_abs, expm, validate_qf
 
-#: Largest system size whose superoperator (dimension 4^L) is built and applied.
+#: Largest system size the oracle realizes.  ``evolve_dense`` works on
+#: 2^L x 2^L matrices (at the cap, 64 x 64: tens of ms and under 2 MiB at t = 1);
+#: ``stationary_dense`` builds the 4^L x 4^L superoperator (256 MiB at the cap).
 L_ORACLE_MAX = 6
 #: Jump-matrix eigenvalues in [-PSD_CLAMP, 0) are clamped to zero.
 PSD_CLAMP = 1e-8
+#: theta_m of Al-Mohy and Higham (2011), Table 3.1, for tolerance 2^-53: a
+#: Taylor polynomial of degree m taken s times reaches backward error 2^-53
+#: when |t A|_1 / s <= theta_m.
+_TAYLOR_THETA = {
+    5: 2.4e-3, 10: 1.4e-1, 15: 6.4e-1, 20: 1.4, 25: 2.4, 30: 3.5,
+    35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,33 +175,77 @@ def superoperator(lind: DenseLindbladian) -> np.ndarray:
     return s
 
 
+def _norm_bound(k: np.ndarray, jumps) -> float:
+    """2 |k|_1 + sum_j |L_j|_1^2, a bound on the 1-norm of the vectorization of
+    X -> k X + X k* + sum_j L_j X L_j*, since |A kron B|_1 = |A|_1 |B|_1."""
+    return float(2 * np.linalg.norm(k, 1) + sum(np.linalg.norm(j, 1) ** 2 for j in jumps))
+
+
 def generator_norm_bound(lind: DenseLindbladian) -> float:
     """2 |K|_1 + sum_k |L_k|_1^2, a bound on the 1-norm of ``superoperator(lind)``.
 
     Uses only 2^L x 2^L matrices, so it prices a dense evolution, whose cost
-    grows with t times this norm, before the superoperator is built.
+    grows with t times this norm, before any exponential is taken.
     """
-    jumps = sum(np.linalg.norm(jump.entries, 1) ** 2 for jump in lind.jump_ops)
-    return float(2 * np.linalg.norm(_effective_hamiltonian(lind), 1) + jumps)
+    return _norm_bound(_effective_hamiltonian(lind), [jump.entries for jump in lind.jump_ops])
+
+
+def _taylor_degree_and_steps(norm: float) -> tuple[int, int]:
+    """Degree m and step count s minimizing m * s with norm / s <= theta_m."""
+    if norm == 0:
+        return 0, 1
+    return min(
+        ((m, int(np.ceil(norm / theta))) for m, theta in _TAYLOR_THETA.items()),
+        key=lambda ms: ms[0] * ms[1],
+    )
 
 
 def evolve_dense(lind: DenseLindbladian, rho0: DenseState, t: float) -> DenseState:
-    """exp(t L) rho0, applied to the vectorized state without forming exp(t L)."""
+    """exp(t L) rho0 by the truncated Taylor action, with rho kept as a matrix.
+
+    Al-Mohy and Higham's Algorithm 3.2: the generator is shifted by
+    mu = tr(L) / 4^L, which only moves K to K - mu/2 I, and exp(t L) rho0 is
+    taken as s steps of a Taylor polynomial of degree at most m, each cut
+    short once two consecutive terms fall below 2^-53 of the sum and
+    rescaled by e^(t mu / s).  (m, s) come from t times the ``_norm_bound``
+    of the shifted generator, an upper bound on the 1-norm their error
+    analysis uses, so the backward-error guarantee holds.
+    """
     if t < 0:
         raise ValueError("evolution time must be nonnegative")
     rho0.validate()
     if rho0.op.mode_count != lind.mode_count:
         raise StructureViolation("state and generator mode counts differ")
     dim = 2**lind.mode_count
-    # deferred: importing scipy.sparse adds about 10 ms that only the oracle needs
-    import scipy.sparse.linalg
+    jumps = np.array([jump.entries for jump in lind.jump_ops], dtype=complex).reshape(-1, dim, dim)
+    jumps_h = jumps.conj().transpose(0, 2, 1)
+    k = _effective_hamiltonian(lind)
+    # tr of the vectorized generator: 2 dim Re tr K + sum_j |tr L_j|^2
+    traces = np.trace(jumps, axis1=1, axis2=2)
+    mu = (2 * dim * np.trace(k).real + float(np.sum(np.abs(traces) ** 2))) / dim**2
+    k = k - 0.5 * mu * np.eye(dim)
+    k_h = k.conj().T
+    norm = t * _norm_bound(k, jumps)
+    if not np.isfinite(norm):
+        raise NumericalFailure(f"dense evolution norm bound t * |L - mu|_1 = {norm} is not finite")
+    m, s = _taylor_degree_and_steps(norm)
+    eta = np.exp(t * mu / s)
 
-    vec = scipy.sparse.linalg.expm_multiply(
-        t * superoperator(lind), rho0.op.entries.flatten(order="F")
-    )
-    if not np.all(np.isfinite(vec)):
+    rho = rho0.op.entries
+    for _ in range(s):
+        term = rho
+        c1 = np.abs(term).max()
+        for j in range(m):
+            product = k @ term + term @ k_h + (jumps @ term @ jumps_h).sum(axis=0)
+            term = (t / (s * (j + 1))) * product
+            c2 = np.abs(term).max()
+            rho = rho + term
+            if c1 + c2 <= 2.0**-53 * np.abs(rho).max():
+                break
+            c1 = c2
+        rho = eta * rho
+    if not np.all(np.isfinite(rho)):
         raise NumericalFailure("dense evolution produced non-finite entries")
-    rho = vec.reshape((dim, dim), order="F")
     rho = (rho + rho.conj().T) / 2
     tr = np.trace(rho).real
     if abs(tr - 1.0) > 1e-8:

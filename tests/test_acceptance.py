@@ -5,6 +5,7 @@ per-criterion PASS lines).
 """
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -119,7 +120,7 @@ def test_criterion_03_oracle_equivalence():
     "L, K, iso", [(4, 2, IsomorphismTag.E_SB), (5, 1, IsomorphismTag.E_BS)], ids=["L4", "L5"]
 )
 def test_criterion_03_oracle_equivalence_at_benchmark_sizes(L, K, iso):
-    # the sizes the oracle-verify benchmark runs; one evolution at L = 6 peaks at about 1.3 GiB
+    # the sizes the oracle-verify benchmark runs
     rng = np.random.default_rng(2026 + L)
     spec = random_semigroup(rng, L, K)
     m0 = random_covariance(rng, L, beta=0.7)
@@ -127,6 +128,26 @@ def test_criterion_03_oracle_equivalence_at_benchmark_sizes(L, K, iso):
     fast = propagate(spec, m0, 1.0)
     deviation = np.abs(convert_basis(dense, MAJ).entries - convert_basis(fast, MAJ).entries).max()
     assert deviation <= 1e-8
+
+
+def test_criterion_03_oracle_equivalence_at_the_oracle_cap():
+    # L = 6: rho is a 64 x 64 matrix; the 4096 x 4096 superoperator route peaked at 1283 MiB
+    rng = np.random.default_rng(2032)
+    spec = random_semigroup(rng, 6, 2)
+    m0 = random_covariance(rng, 6, beta=0.7)
+    lind = build_lindbladian(spec, IsomorphismTag.E_SB)
+    rho0 = quasifree_state(m0)
+    tracemalloc.start()
+    try:
+        rho_t = evolve_dense(lind, rho0, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    fast = propagate(spec, m0, 1.0)
+    dense = covariance_of(rho_t)
+    deviation = np.abs(convert_basis(dense, MAJ).entries - convert_basis(fast, MAJ).entries).max()
+    assert deviation <= 1e-8
+    assert peak < 16 * 2**20, f"evolve_dense peaked at {peak / 2**20:.1f} MiB"
 
 
 def test_criterion_04_kalman_hurwitz_unique():

@@ -105,6 +105,16 @@ class TestQuadraticHamiltonian:
         par = parity_op(3).entries
         assert np.abs(h @ par - par @ h).max() < 1e-12
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_row_gather_equals_dense_products(self, n):
+        # the dense form sum_i g_i phi(h_i), with each g_i multiplied in as a matrix
+        t = random_qf(np.random.default_rng(40 + n), n)
+        h = 0.5 * 0.5 * convert_basis(t, BasisTag.MAJORANA).entries
+        gs = [g.entries for g in majorana_ops(n)]
+        dense = sum(g @ field_operator(row, n).entries for g, row in zip(gs, h))
+        dense = (dense + dense.conj().T) / 2
+        assert np.array_equal(quadratic_hamiltonian(t, 0.5).entries, dense)
+
 
 class TestGibbsState:
     def test_infinite_temperature(self):

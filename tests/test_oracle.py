@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from fermicov import (
     BasisTag,
@@ -7,6 +8,7 @@ from fermicov import (
     DenseState,
     IsomorphismTag,
     NotPSD,
+    NumericalFailure,
     TooLarge,
     build_lindbladian,
     convert_basis,
@@ -26,6 +28,7 @@ from fermicov import (
     wick_moment,
     xy_chain,
 )
+from fermicov import oracle
 from fermicov.models import XYParams
 from fermicov.oracle import apply_generator, generator_norm_bound, superoperator
 
@@ -134,6 +137,38 @@ class TestSuperoperator:
 
 
 class TestEvolveDense:
+    @pytest.mark.parametrize("t", [0.5, 60.0])
+    @pytest.mark.parametrize("case", ["E_SB", "E_BS", "xy E_B1SB2", "no jumps"])
+    def test_matches_expm_of_superoperator(self, case, t):
+        # t = 60 makes the norm bound large enough to take several Taylor steps
+        lind = _generator_case(case)
+        dim = 2**lind.mode_count
+        rng = np.random.default_rng(20)
+        x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        rho0 = x @ x.conj().T
+        rho0 /= np.trace(rho0).real
+        state = DenseState(op=DenseOperator(entries=rho0, mode_count=lind.mode_count))
+        expected = (scipy.linalg.expm(t * superoperator(lind)) @ rho0.flatten("F")).reshape(
+            (dim, dim), order="F"
+        )
+        got = evolve_dense(lind, state, t).op.entries
+        assert np.abs(got - expected).max() <= 1e-11 * max(1.0, np.abs(expected).max())
+
+    def test_never_builds_the_superoperator(self, monkeypatch):
+        lind = _generator_case("E_SB")
+        rho0 = _maximally_mixed(lind.mode_count)
+
+        def refuse(_):
+            raise AssertionError("evolve_dense built the 4^L x 4^L superoperator")
+
+        monkeypatch.setattr(oracle, "superoperator", refuse)
+        evolve_dense(lind, rho0, 1.0)
+
+    def test_infinite_time_rejected(self):
+        lind = _generator_case("E_SB")
+        with pytest.raises(NumericalFailure, match="not finite"):
+            evolve_dense(lind, _maximally_mixed(lind.mode_count), np.inf)
+
     def test_time_zero_is_identity(self):
         rng = np.random.default_rng(5)
         spec = random_semigroup(rng, 2, 1)
