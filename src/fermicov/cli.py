@@ -468,7 +468,9 @@ def main(argv=None, out=None, err=None) -> int:
     err = sys.stderr if err is None else err
     try:
         args = _build_parser().parse_args(argv)
-        return args.func(args, out, err)
+        # overflow reaches stderr as one error line: the finite and NaN checks reject it
+        with np.errstate(all="ignore"):
+            return args.func(args, out, err)
     except UsageError as exc:
         err.write(f"error: {exc}\n")
         return 1

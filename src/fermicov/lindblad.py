@@ -12,15 +12,13 @@ so a time series on an evenly spaced grid steps one (E_dt, Q_dt) through the
 semigroup law (``propagate_series``); ``propagate`` is its single-step case.
 
 The stationary state is unique exactly when span{T_S^k Theta} is the whole
-space (the Kalman-type criterion).  ``_controllable_basis`` computes an
-orthonormal basis V_c of that span by block Krylov in staircase form: each
-block is one product with T_S, two re-orthogonalizations against V_c and a
-thin SVD, so the whole sweep costs O(n^3) time and O(n^2) memory and never
-forms the powers T_S^k.  Its rank is cross-checked against the spectral
-(PBH) test on the eigenvectors of T_S, and a disagreement raises
-``NumericalFailure`` naming both margins.  Convergence, the gauge-invariant
-reduction to L x L data and the support decomposition of degenerate
-stationary states are decided here too.
+space (the Kalman-type criterion).  Since T_S is Hermitian, ``_uncontrolled``
+decides it in the eigenbasis of T_S (the PBH test): one ``eigh``, and per
+cluster of near-equal eigenvalues one SVD of the cluster's overlap with
+Theta, whose null vectors span that cluster's part of the uncontrolled
+subspace V_u.  The Kalman rank is n - dim V_u, and the same V_u decides
+convergence.  The gauge-invariant reduction to L x L data and the support
+decomposition of degenerate stationary states are here too.
 
 Full (2L) and gauge-invariant (L x L) data share one core: ``_drift_pump``
 builds G and P for both, and ``_lyapunov_solve`` is the one stationary
@@ -65,10 +63,12 @@ from .quasifree import (
 RESIDUAL_TOL = 1e-10
 #: Covariance eigenvalues within this distance of 1 count as pinned-empty modes.
 PIN_TOL = 1e-7
-#: Eigenvalues of T_S closer than this are treated as one degenerate cluster.
-CLUSTER_GAP = 1e-8
 #: Drift spectral abscissa below this value counts as Hurwitz.
 HURWITZ_TOL = -1e-12
+#: Eigenvalues of T_S closer than this are treated as one degenerate cluster.  A
+#: dark mode split off by a gap g decays at a rate of about g^2, so the gap is
+#: sqrt(-HURWITZ_TOL): a pair the clustering merges leaves a drift that is not Hurwitz.
+CLUSTER_GAP = float(np.sqrt(-HURWITZ_TOL))
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,109 +176,79 @@ def lift_gauge_invariant(gi: GaugeInvariantSpec) -> SemigroupSpec:
     )
 
 
-def _controllable_basis(t: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, float, float, float]:
-    """Orthonormal basis V_c of span{T^k Theta}, by block Krylov in staircase form.
+def _uncontrolled(t: np.ndarray, theta: np.ndarray, majorana: bool = False) -> tuple[int, bool, complex | None]:
+    """Kalman rank, convergence and an offending eigenvalue from one ``eigh`` of t.
 
-    Works on the normalized pair (T / |T|_2, Theta / |Theta|_2).  The first
-    block is Theta; each later block is T applied to the previous block's
-    new columns.  A block is re-orthogonalized twice against V_c and its new
-    directions are the left singular vectors of a thin SVD whose singular
-    values exceed one threshold, 64 n eps (64 n eps |Theta|_2 on Theta
-    itself).  The sweep stops when a block adds nothing or V_c has n columns
-    (Van Dooren, IEEE TAC 26:111, 1981).  Returns V_c, the smallest kept and
-    the largest dropped singular value, and the threshold.
-    """
-    n = t.shape[0]
-    thresh = 64 * n * np.finfo(float).eps
-    t_norm = np.linalg.norm(t, 2)
-    theta_norm = np.linalg.norm(theta, 2) if theta.size else 0.0
-    t_hat = t / t_norm if t_norm > 0 else t
-    block = theta / theta_norm if theta_norm > 0 else theta
-    basis = np.empty((n, n), dtype=np.result_type(t, theta))
-    rank, kept, dropped = 0, np.inf, 0.0
-    while block.shape[1] and rank < n:
-        v_c = basis[:, :rank]
-        for _ in range(2):
-            block = block - v_c @ (v_c.conj().T @ block)
-        u, s, _ = np.linalg.svd(block, full_matrices=False)
-        new = min(int(np.sum(s > thresh)), n - rank)
-        kept = min(kept, s[:new].min(initial=np.inf))
-        dropped = max(dropped, s[new:].max(initial=0.0))
-        basis[:, rank : rank + new] = u[:, :new]
-        block = t_hat @ u[:, :new]
-        rank += new
-    return basis[:, :rank], float(kept), float(dropped), thresh
-
-
-def _spectral_criterion(t: np.ndarray, theta: np.ndarray) -> tuple[bool, complex | None, float, float]:
-    """True when no eigenvector of t lies in ker(theta*), clustering degeneracies.
-
-    A cluster of c eigenvectors passes when the c-th singular value of its
-    overlap with theta exceeds 64 max(shape) eps max|theta|.  Also returns
-    the offending eigenvalue, and the overlap singular value and threshold
-    of the cluster closest to failing.
+    Eigenvalues of the Hermitian t closer than ``CLUSTER_GAP`` form a cluster.
+    For a cluster with eigenvectors V, the right singular vectors of Theta* V
+    whose singular values do not exceed
+    64 max(shape) eps max|Theta| max(1, |t|_2 / sep) span the cluster's part of
+    the uncontrolled subspace V_u; sep, the cluster's distance to the rest of
+    the spectrum, bounds the rounding error of V (Davis-Kahan).  Returns
+    n - dim V_u; whether t acts on V_u as one multiple of the identity within
+    TAU_NUM |t|, so that every state converges; and the mean eigenvalue of the
+    first uncontrolled cluster.  A Majorana spectrum is symmetric about 0, and
+    with ``majorana`` it is symmetrized so that the clusters at +-lambda pair.
     """
     w, v = scipy.linalg.eigh(t)
-    theta_scale = max(float(np.abs(theta).max()), 1e-300)
-    margin, margin_thresh = np.inf, 1.0
-    start = 0
-    for i in range(1, len(w) + 1):
-        if i == len(w) or w[i] - w[i - 1] > CLUSTER_GAP:
-            overlap = theta.conj().T @ v[:, start:i]
-            s = np.linalg.svd(overlap, compute_uv=False)
-            thresh = 64 * max(overlap.shape) * np.finfo(float).eps * theta_scale
-            smallest = float(s[i - start - 1]) if s.size >= i - start else 0.0
-            if smallest / thresh < margin / margin_thresh:
-                margin, margin_thresh = smallest, thresh
-            if smallest <= thresh:
-                return False, complex(np.mean(w[start:i])), margin, margin_thresh
-            start = i
-    return True, None, margin, margin_thresh
+    if majorana:
+        w = (w - w[::-1]) / 2
+    n = len(w)
+    t_norm = float(np.abs(w).max(initial=0.0))
+    base = 64 * np.finfo(float).eps * max(_max_abs(theta), 1e-300)
+    overlap = theta.conj().T @ v
+    edges = [0, *(np.flatnonzero(np.diff(w) > CLUSTER_GAP) + 1), n]
+    on_vu = []  # eigenvalues of t restricted to each cluster's part of V_u
+    offending = None
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        sep = min(w[lo] - w[lo - 1] if lo else np.inf, w[hi] - w[hi - 1] if hi < n else np.inf)
+        block = overlap[:, lo:hi]
+        _, s, vh = np.linalg.svd(block)
+        thresh = base * max(block.shape) * max(1.0, t_norm / sep)
+        null = vh[int(np.sum(s > thresh)) :].conj().T
+        if null.shape[1]:
+            lam = np.linalg.eigvalsh(null.conj().T @ (w[lo:hi, None] * null))
+            offending = complex(lam.mean()) if offending is None else offending
+            on_vu.append(lam)
+    lam = np.concatenate(on_vu) if on_vu else np.zeros(0)
+    converges = lam.size == 0 or float(np.ptp(lam)) <= TAU_NUM * _scale(t)
+    return n - lam.size, converges, offending
 
 
-def _ergodicity_core(t: np.ndarray, theta: np.ndarray, drift: np.ndarray) -> ErgodicityReport:
-    n = t.shape[0]
-    v_c, kept, dropped, thresh = _controllable_basis(t, theta)
-    rank = v_c.shape[1]
-    kalman_full = rank == n
-    unique, offending, overlap, overlap_thresh = _spectral_criterion(t, theta)
-    if unique != kalman_full:
-        raise NumericalFailure(
-            f"Kalman staircase rank {rank}/{n} (smallest kept singular value {kept:.3e}, "
-            f"largest dropped {dropped:.3e}, threshold {thresh:.3e}) disagrees with the "
-            f"spectral criterion (unique={unique}; smallest overlap singular value "
-            f"{overlap:.3e}, threshold {overlap_thresh:.3e})"
-        )
-    if kalman_full:
-        converges = True
-    else:
-        q = np.linalg.qr(v_c, mode="complete")[0][:, rank:]
-        block = q.conj().T @ t @ q
-        lam = np.trace(block) / block.shape[0]
-        tol = TAU_NUM * _scale(t)
-        converges = (
-            _max_abs(t @ q - q @ block) <= tol
-            and _max_abs(block - lam * np.eye(block.shape[0])) <= tol
-        )
-    abscissa = float(np.linalg.eigvals(drift).real.max())
+def _ergodicity_core(t: np.ndarray, theta: np.ndarray, drift: np.ndarray, majorana: bool) -> ErgodicityReport:
+    rank, converges, offending = _uncontrolled(t, theta, majorana)
+    unique = rank == t.shape[0]
     return ErgodicityReport(
         kalman_rank=rank,
-        kalman_full=kalman_full,
+        kalman_full=unique,
         unique_stationary=unique,
         converges=converges,
-        spectral_abscissa=abscissa,
+        spectral_abscissa=float(np.linalg.eigvals(drift).real.max()),
         offending_eigenvalue=offending,
     )
 
 
 def ergodicity(spec: SemigroupSpec) -> ErgodicityReport:
     """Uniqueness/convergence criteria for the full 2L-dimensional semigroup."""
-    return _ergodicity_core(spec.t_s.entries, spec.theta.entries, spec.drift)
+    return _ergodicity_core(spec.t_s.entries, spec.theta.entries, spec.drift, majorana=True)
 
 
 def ergodicity_gauge_invariant(spec: GaugeInvariantSpec) -> ErgodicityReport:
     """Criteria evaluated on the L x L gauge-invariant data only."""
-    return _ergodicity_core(spec.t_s0, spec.theta0, spec.drift0)
+    return _ergodicity_core(spec.t_s0, spec.theta0, spec.drift0, majorana=False)
+
+
+def _checked(check, *args):
+    """``check(*args)`` on a computed result.
+
+    A result that fails its check is a numerical failure, not malformed
+    input, so the StructureViolation is re-raised as NumericalFailure with
+    the same message and residual.
+    """
+    try:
+        return check(*args)
+    except StructureViolation as exc:
+        raise NumericalFailure(str(exc)) from exc
 
 
 def _lyapunov_solve(drift: np.ndarray, pump: np.ndarray, report: ErgodicityReport) -> np.ndarray:
@@ -301,20 +271,21 @@ def stationary(spec: SemigroupSpec) -> CovarianceMatrix:
     """Stationary covariance matrix of an ergodic semigroup (Majorana basis).
 
     Raises NonUniqueStationary when the uniqueness criterion fails; that is a
-    property of the model, not a numerical defect.
+    property of the model, not a numerical defect.  A solution that fails
+    the covariance check raises NumericalFailure.
     """
     return _stationary_given(spec, ergodicity(spec))
 
 
 def _stationary_given(spec: SemigroupSpec, report: ErgodicityReport) -> CovarianceMatrix:
     """``stationary`` for a caller that already holds the spec's ergodicity report."""
-    return validate_covariance(_lyapunov_solve(spec.drift, spec.pump, report), BasisTag.MAJORANA)
+    return _checked(validate_covariance, _lyapunov_solve(spec.drift, spec.pump, report), BasisTag.MAJORANA)
 
 
 def stationary_gauge_invariant(spec: GaugeInvariantSpec) -> SmallCovarianceMatrix:
     """Stationary small covariance of an ergodic gauge-invariant semigroup."""
     report = ergodicity_gauge_invariant(spec)
-    return validate_small_covariance(_lyapunov_solve(spec.drift0, spec.pump0, report))
+    return _checked(validate_small_covariance, _lyapunov_solve(spec.drift0, spec.pump0, report))
 
 
 def _affine_flow(drift: np.ndarray, pump: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -347,8 +318,9 @@ def propagate_series(
     Computes one affine flow (E, Q) over dt with ``_affine_flow`` and steps
     it by the semigroup law M((j+1) dt) = E M(j dt) E* + Q, whether or not
     the stationary state is unique.  M(0) is ``m0``, trusted by its tag;
-    every stepped state is Hermitian-symmetrized and validated.  The checks
-    on dt and m0 run when iteration starts.
+    every stepped state is Hermitian-symmetrized and validated, and a state
+    that fails raises NumericalFailure.  The checks on dt and m0 run when
+    iteration starts.
     """
     if dt < 0:
         raise ValueError("propagation time must be nonnegative")
@@ -365,7 +337,7 @@ def propagate_series(
         m = CovarianceMatrix(
             entries=(out + out.conj().T) / 2, basis=BasisTag.MAJORANA, mode_count=spec.mode_count
         )
-        m.validate()
+        _checked(m.validate)
         yield m
 
 
@@ -399,7 +371,7 @@ def propagate_gauge_invariant(
     e, q = _affine_flow(spec.drift0, spec.pump0, float(t))
     m_t = e @ m0.entries @ e.conj().T + q
     m_t = (m_t + m_t.conj().T) / 2
-    return validate_small_covariance(m_t), e @ a_mat @ e.T
+    return _checked(validate_small_covariance, m_t), e @ a_mat @ e.T
 
 
 def real_case_kalman(c_t, c_theta) -> bool:
@@ -408,18 +380,18 @@ def real_case_kalman(c_t, c_theta) -> bool:
     For T = [[0, i C_T], [-i C_T^T, 0]] and Theta = [[0, i C_Th], [-i C_Th, 0]]
     (real C_T, C_Th), the 2L-dimensional criterion splits into two L-dimensional
     span conditions: the Krylov space of C C^T on [C_Th, C C_Th] is the whole
-    space, for C = C_T and C = C_T^T.  Each is tested with the staircase basis.
+    space, for C = C_T and C = C_T^T.  Each is decided in the eigenbasis of
+    the symmetric C C^T by the same test as ``ergodicity``.
     """
     a = np.asarray(c_t, dtype=float)
     b = np.asarray(c_theta, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or b.ndim != 2 or b.shape[0] != a.shape[0]:
         raise StructureViolation(f"incompatible shapes {a.shape}, {b.shape}")
-    L = a.shape[0]
     norm = np.linalg.norm(a, 2)
     a_hat = a / norm if norm > 0 else a
 
     def spans(m: np.ndarray) -> bool:
-        return _controllable_basis(m @ m.T, np.hstack([b, m @ b]))[0].shape[1] == L
+        return _uncontrolled(m @ m.T, np.hstack([b, m @ b]))[0] == a.shape[0]
 
     return spans(a_hat) and spans(a_hat.T)
 

@@ -625,6 +625,31 @@ class TestBadInputs:
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+class TestComputedResultFailures:
+    """A computed result that fails its check exits 2 and names the residual;
+    exit 1 is kept for malformed input."""
+
+    def test_long_time_star_exits_two(self, tmp_path):
+        code, out, _ = run_cli("model", "build", "star")
+        path = write_model(tmp_path, json.loads(out))
+        code, _, err = run_cli("evolve", path, "--t-final", "1e10", "--samples", "1")
+        assert code == 2
+        assert err.startswith("error: NumericalFailure: ") and "(residual " in err
+
+    def test_stiff_stationary_exits_two(self, tmp_path):
+        code, out, _ = run_cli("model", "build", "one-end-chain", "--set", "theta=1e5")
+        path = write_model(tmp_path, json.loads(out))
+        with pytest.warns(RuntimeWarning, match="eigenvalue pair"):
+            code, _, err = run_cli("stationary", path)
+        assert code == 2
+        assert err.startswith("error: NumericalFailure: ") and "(residual " in err
+
+    def test_overflowing_input_gives_one_error_line(self):
+        code, out, err = run_cli("model", "build", "one-end-chain", "--set", "theta=1e200")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: StructureViolation: ") and err.count("\n") == 1
+
+
 class TestCounts:
     def test_integral_float_counts_are_accepted(self, tmp_path):
         doc = explicit_doc(random_semigroup(np.random.default_rng(7), 1, 1))

@@ -1,8 +1,9 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used, and every private name is referenced.
 
-No linter ships with the project, so this guards against the dangling
-imports that deleting code tends to leave behind.  ``__init__`` is skipped:
-its imports are the package's exports.
+No linter ships with the project, so this guards against what deleting code
+tends to leave behind: dangling imports, and private helpers that nothing in
+the package calls any more (kept alive only by tests).  ``__init__`` is
+skipped by the import check: its imports are the package's exports.
 """
 
 import ast
@@ -12,7 +13,8 @@ import pytest
 
 import fermicov
 
-MODULES = sorted(p for p in Path(fermicov.__file__).parent.glob("*.py") if p.name != "__init__.py")
+PACKAGE = sorted(Path(fermicov.__file__).parent.glob("*.py"))
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 
 
 def _imported_names(tree: ast.Module) -> set[str]:
@@ -25,8 +27,43 @@ def _imported_names(tree: ast.Module) -> set[str]:
     return names
 
 
+def _private_definitions(tree: ast.Module) -> set[str]:
+    """Module-level ``_name`` functions, classes and constants."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(target.id for target in node.targets if isinstance(target, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def _references(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
-    tree = ast.parse(path.read_text(encoding="utf-8"))
+    tree = _parse(path)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(_imported_names(tree) - used) == []
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_every_private_name_is_referenced_in_the_package(path):
+    referenced = set().union(*(_references(_parse(p)) for p in PACKAGE))
+    assert sorted(_private_definitions(_parse(path)) - referenced) == []

@@ -1,4 +1,5 @@
 from collections import Counter
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ from fermicov import (
     validate_small_covariance,
 )
 import fermicov.lindblad as lindblad
-from fermicov.lindblad import _controllable_basis
+from fermicov.lindblad import CLUSTER_GAP, HURWITZ_TOL
 from fermicov.models import ChainParams, XYParams, chain_hamiltonian, xy_chain
 
 from conftest import random_coupling, random_covariance, random_qf, random_semigroup
@@ -241,6 +242,39 @@ class TestErgodicity:
         assert not report.unique_stationary
 
 
+def _controllable_basis(t, theta):
+    """Orthonormal basis V_c of span{T^k Theta}, by block Krylov in staircase form.
+
+    An independent reference for the library's eigenbasis test (Van Dooren,
+    IEEE TAC 26:111, 1981).  Works on the normalized pair (T / |T|_2,
+    Theta / |Theta|_2): the first block is Theta, and each later block is T
+    applied to the previous block's new columns.  A block is
+    re-orthogonalized twice against V_c, and its new directions are the left
+    singular vectors of a thin SVD whose singular values exceed 64 n eps.
+    Reliable on structured models; on random non-unique models the sweep
+    normalizes rounding back to unit length and overcounts (Paige, IEEE TAC
+    26:130, 1981).
+    """
+    n = t.shape[0]
+    thresh = 64 * n * np.finfo(float).eps
+    t_norm = np.linalg.norm(t, 2)
+    theta_norm = np.linalg.norm(theta, 2) if theta.size else 0.0
+    t_hat = t / t_norm if t_norm > 0 else t
+    block = theta / theta_norm if theta_norm > 0 else theta
+    basis = np.empty((n, n), dtype=np.result_type(t, theta))
+    rank = 0
+    while block.shape[1] and rank < n:
+        v_c = basis[:, :rank]
+        for _ in range(2):
+            block = block - v_c @ (v_c.conj().T @ block)
+        u, s, _ = np.linalg.svd(block, full_matrices=False)
+        new = min(int(np.sum(s > thresh)), n - rank)
+        basis[:, rank : rank + new] = u[:, :new]
+        block = t_hat @ u[:, :new]
+        rank += new
+    return basis[:, :rank]
+
+
 def _hidden_block_pair(rng, controlled, hidden):
     """Hermitian T and coupling Theta whose controllable subspace has dimension
     ``controlled``: a random unitary mixes a coupled block with an uncoupled one,
@@ -256,69 +290,126 @@ def _hidden_block_pair(rng, controlled, hidden):
     return u @ t @ u.conj().T, u @ theta
 
 
-def _star_pair():
-    spec = lift_gauge_invariant(star_model(6, 1.0, 0.5))
-    return spec.t_s.entries, spec.theta.entries
-
-
-def _xy_pair():
-    spec = xy_chain(XYParams(160, 0.4, 0.25, 1.0, 1.0, 0.7, 0.3))
-    return spec.t_s.entries, spec.theta.entries
+def _gauge_invariant(pair):
+    t, theta = pair
+    return make_gauge_invariant(t, theta, 0.5 * np.eye(theta.shape[1]))
 
 
 STAIRCASE_CASES = {
-    "star": (_star_pair, 4),
-    "xy L=160": (_xy_pair, 320),
-    "graded spectrum": (lambda: (np.diag(np.geomspace(1e-3, 1.0, 40)).astype(complex), np.ones((40, 1))), 40),
-    "hidden block": (lambda: _hidden_block_pair(np.random.default_rng(40), 5, 7), 5),
+    "star": (lambda: lift_gauge_invariant(star_model(6, 1.0, 0.5)), 4),
+    "xy L=160": (lambda: xy_chain(XYParams(160, 0.4, 0.25, 1.0, 1.0, 0.7, 0.3)), 320),
+    "graded spectrum": (
+        lambda: _gauge_invariant((np.diag(np.geomspace(1e-3, 1.0, 40)).astype(complex), np.ones((40, 1)))),
+        40,
+    ),
+    "hidden block": (lambda: _gauge_invariant(_hidden_block_pair(np.random.default_rng(40), 5, 7)), 5),
 }
 
 
+@lru_cache(maxsize=None)
+def _staircase_case(case):
+    """(T, Theta) of a case's full or gauge-invariant spec, and the library's Kalman rank."""
+    spec = STAIRCASE_CASES[case][0]()
+    if isinstance(spec, lindblad.GaugeInvariantSpec):
+        return spec.t_s0, spec.theta0, ergodicity_gauge_invariant(spec).kalman_rank
+    return spec.t_s.entries, spec.theta.entries, ergodicity(spec).kalman_rank
+
+
 class TestKalmanStaircase:
+    """The staircase reference above against the library's eigenbasis test."""
+
     @pytest.mark.parametrize("case", sorted(STAIRCASE_CASES))
     def test_orthonormal_invariant_basis(self, case):
-        build, rank = STAIRCASE_CASES[case]
-        t, theta = build()
-        v_c = _controllable_basis(t, theta)[0]
+        rank = STAIRCASE_CASES[case][1]
+        t, theta, _ = _staircase_case(case)
+        v_c = _controllable_basis(t, theta)
         assert v_c.shape == (t.shape[0], rank)
         assert np.abs(v_c.conj().T @ v_c - np.eye(rank)).max() < 1e-12
         outside = np.eye(t.shape[0]) - v_c @ v_c.conj().T
         assert np.abs(outside @ t @ v_c).max() < 1e-12 * np.linalg.norm(t, 2)
         assert np.abs(outside @ theta).max() < 1e-12 * np.linalg.norm(theta, 2)
 
+    @pytest.mark.parametrize("case", sorted(STAIRCASE_CASES))
+    def test_library_rank_matches_reference(self, case):
+        t, theta, library_rank = _staircase_case(case)
+        rank = STAIRCASE_CASES[case][1]
+        assert library_rank == _controllable_basis(t, theta).shape[1] == rank
+
     @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
     def test_rank_does_not_depend_on_the_scale_of_t(self, scale):
         chain = lift_gauge_invariant(two_bath_chain(ChainParams(20, 1.0, 1.0, 0.9, 0.1))[0])
-        assert _controllable_basis(scale * chain.t_s.entries, chain.theta.entries)[0].shape[1] == 40
+        assert _controllable_basis(scale * chain.t_s.entries, chain.theta.entries).shape[1] == 40
         t, theta = _hidden_block_pair(np.random.default_rng(41), 5, 7)
-        assert _controllable_basis(scale * t, theta)[0].shape[1] == 5
-
-    @pytest.mark.parametrize("model", ["chain", "star"])
-    def test_disagreement_names_both_margins(self, model, monkeypatch):
-        gi = two_bath_chain(ChainParams(8, 1.0, 1.0, 0.9, 0.1))[0] if model == "chain" else star_model(6, 1.0, 0.5)
-        spec = lift_gauge_invariant(gi)
-        _, kept, dropped, thresh = _controllable_basis(spec.t_s.entries, spec.theta.entries)
-        unique = model == "star"
-        monkeypatch.setattr(
-            lindblad, "_spectral_criterion", lambda t, theta: (unique, None, 1.25e-3, 2.5e-14)
-        )
-        with pytest.raises(NumericalFailure) as info:
-            ergodicity(spec)
-        message = str(info.value)
-        for value in (kept, dropped, thresh, 1.25e-3, 2.5e-14):
-            assert f"{value:.3e}" in message
+        assert _controllable_basis(scale * t, theta).shape[1] == 5
 
     @pytest.mark.parametrize("kappa", [0.9, 0.99, 0.999])
     @pytest.mark.parametrize("h", [1e-2, 1e-4, 0.0])
     def test_near_ising_point_never_disagrees_silently(self, kappa, h):
-        spec = xy_chain(XYParams(40, kappa, h, 1.0, 1.0, 0.7, 0.3))
-        try:
-            report = ergodicity(spec)
-        except NumericalFailure as exc:
-            assert "smallest kept singular value" in str(exc)
-            assert "smallest overlap singular value" in str(exc)
-        else:
+        report = ergodicity(xy_chain(XYParams(40, kappa, h, 1.0, 1.0, 0.7, 0.3)))
+        assert report.kalman_full == report.unique_stationary
+
+
+def _random_majorana_model(rng, L, project):
+    """T = iA with |A|_2 = 1 and one bath mode, Theta = iW with W of shape 2L x 2.
+
+    With ``project``, W is projected off the conjugate eigenvector pair of the
+    largest eigenvalue of T, which leaves that pair uncontrolled: rank 2L - 2.
+    """
+    a = rng.standard_normal((2 * L, 2 * L))
+    a = (a - a.T) / np.linalg.norm(a - a.T, 2)
+    w = rng.standard_normal((2 * L, 2))
+    if project:
+        x = np.linalg.eigh(1j * a)[1][:, -1]
+        q = np.linalg.qr(np.column_stack([x.real, x.imag]))[0]
+        w -= q @ (q.T @ w)
+    m_b = validate_covariance(np.array([[0.5, 0.3j], [-0.3j, 0.5]]), MAJ)
+    return make_semigroup(validate_qf(1j * a, MAJ), validate_coupling(1j * w, MAJ), m_b)
+
+
+class TestRandomMajoranaModels:
+    """Random models on both sides of the uniqueness boundary, far beyond the
+    sizes where a Krylov rank test still separates them."""
+
+    @pytest.mark.parametrize("L, draws", [(4, 40), (8, 40), (12, 40), (20, 40), (40, 10), (80, 4)])
+    def test_rank_and_stationary_state(self, L, draws):
+        rng = np.random.default_rng(L)
+        for _ in range(draws):
+            # stationary decides with ergodicity and names its rank when it refuses
+            with pytest.raises(NonUniqueStationary, match=f"rank {2 * L - 2} < {2 * L}$"):
+                stationary(_random_majorana_model(rng, L, project=True))
+            stationary(_random_majorana_model(rng, L, project=False))
+
+
+def _gap_model(rng, L, gap):
+    """Gauge-invariant model whose two lowest eigenvalues of T0 are ``gap`` apart.
+
+    One coupling column Q 1/sqrt(L) couples every eigenvector equally, so the
+    model is unique for every gap > 0; the dark combination of the close pair
+    decays at a rate of about gap^2.
+    """
+    q = np.linalg.qr(rng.standard_normal((L, L)))[0]
+    w = np.linspace(-1.0, 1.0, L)
+    w[1] = w[0] + gap
+    return make_gauge_invariant(q @ np.diag(w) @ q.T, q.sum(axis=1, keepdims=True) / np.sqrt(L), [[0.3]])
+
+
+class TestUniquenessBoundary:
+    @pytest.mark.parametrize("L", [2, 4, 8])
+    @pytest.mark.parametrize("gap", [1e-12, 1e-10, 1e-8, 1e-7, 1e-5, 1e-4])
+    def test_reduced_lifted_and_hurwitz_verdicts_agree(self, gap, L):
+        gi = _gap_model(np.random.default_rng(L), L, gap)
+        reduced = ergodicity_gauge_invariant(gi)
+        lifted = ergodicity(lift_gauge_invariant(gi))
+        hurwitz = lifted.spectral_abscissa < HURWITZ_TOL
+        assert reduced.unique_stationary == lifted.unique_stationary == hurwitz == (gap > CLUSTER_GAP)
+        assert lifted.kalman_rank == 2 * reduced.kalman_rank
+
+    @pytest.mark.parametrize("L", [2, 4, 8])
+    def test_at_the_cluster_gap(self, L):
+        gi = _gap_model(np.random.default_rng(L), L, CLUSTER_GAP)
+        for report in (ergodicity_gauge_invariant(gi), ergodicity(lift_gauge_invariant(gi))):
             assert report.kalman_full == report.unique_stationary
+        assert report.kalman_rank % 2 == 0
 
 
 class TestSizeLadder:
