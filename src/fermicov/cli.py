@@ -6,11 +6,16 @@ array.  Floats are emitted in Python's shortest round-tripping decimal form
 (at most 17 significant digits), so write-then-read reproduces every value
 bit-exactly.  Exit codes: 0 success, 1 malformed or oversized input,
 2 numerical or ergodicity failure.
+
+``main`` may be called repeatedly in one process: it builds its parser once,
+and pauses the garbage collector (process-wide) only while parsing a model file.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import gc
 import hashlib
 import json
 import sys
@@ -62,6 +67,20 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
+
+
+@contextlib.contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector (process-wide), then restore its prior
+    state.  A parsed model file is thousands of short-lived lists, which young
+    collections would promote until a full collection of the heap runs."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------
@@ -178,13 +197,17 @@ def build_preset_spec(name: str, parameters: dict) -> SemigroupSpec:
 # model files
 
 
+@_collector_paused()
 def load_model(path: str) -> tuple[SemigroupSpec, dict]:
+    """The validated spec of a model file, and its document with an explicit
+    section's matrices decoded to complex arrays.  Runs with the collector
+    paused, and frees the matrices' nested lists before it resumes."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read model file: {exc}")
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also a file not in UTF-8, or nested too deeply
         raise UsageError(f"model file is not valid JSON: {exc}")
     if not isinstance(data, dict) or data.get("schema_version") != SCHEMA_VERSION:
         raise UsageError(f"model file must declare schema_version = {SCHEMA_VERSION}")
@@ -217,7 +240,9 @@ def _spec_from_explicit(section) -> SemigroupSpec:
         raise UsageError(f"unknown basis tag {section['basis']!r}")
     L = _mode_count("mode_count", section["mode_count"])
     K = _mode_count("bath_modes", section["bath_modes"])
-    t_s, theta, m_b = (matrix_from_json(section[key], key) for key in ("t_s", "theta", "m_b"))
+    for key in ("t_s", "theta", "m_b"):
+        section[key] = matrix_from_json(section[key], key)  # frees the nested lists
+    t_s, theta, m_b = section["t_s"], section["theta"], section["m_b"]
     if t_s.shape != (2 * L, 2 * L) or theta.shape != (2 * L, 2 * K) or m_b.shape != (2 * K, 2 * K):
         raise UsageError("declared mode counts do not match the matrices")
     return make_semigroup(
@@ -281,7 +306,7 @@ def _emit(report: dict, stream) -> None:
 
 
 def cmd_check(args, out, err) -> int:
-    spec, _ = load_model(args.model)
+    spec = load_model(args.model)[0]
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "check",
@@ -293,7 +318,7 @@ def cmd_check(args, out, err) -> int:
 
 
 def cmd_stationary(args, out, err) -> int:
-    spec, _ = load_model(args.model)
+    spec = load_model(args.model)[0]
     report = ergodicity(spec)
     m_inf = _stationary_given(spec, report)
     payload = {
@@ -321,7 +346,7 @@ def _initial_covariance(spec: SemigroupSpec, choice: str) -> CovarianceMatrix:
             data = json.load(fh)
         basis = BasisTag(data["basis"])
         return validate_covariance(matrix_from_json(data["m0"], "m0"), basis)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError, RecursionError) as exc:
         raise UsageError(f"--m0 must be stationary|mixed|vacuum or a covariance file: {exc}")
 
 
@@ -330,7 +355,7 @@ def cmd_evolve(args, out, err) -> int:
         raise UsageError("--t-final must be finite and positive")
     if args.samples < 1:
         raise UsageError("--samples must be at least 1")
-    spec, _ = load_model(args.model)
+    spec = load_model(args.model)[0]
     try:
         m_inf = stationary(spec)
     except NonUniqueStationary:
@@ -363,7 +388,7 @@ def cmd_oracle_compare(args, out, err) -> int:
         raise UsageError("--t must be finite and nonnegative")
     if not (np.isfinite(args.max_deviation) and args.max_deviation >= 0):
         raise UsageError("--max-deviation must be finite and nonnegative")
-    spec, _ = load_model(args.model)
+    spec = load_model(args.model)[0]
     L, K = spec.mode_count, spec.bath_modes
     if L > 3 or K > 2:
         raise TooLarge(f"oracle comparison is limited to L <= 3, K <= 2 (got L={L}, K={K})")
@@ -431,26 +456,26 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("check", help="ergodicity report for a model file")
     p.add_argument("model")
-    p.set_defaults(func=cmd_check)
+    p.set_defaults(func="cmd_check")
 
     p = sub.add_parser("stationary", help="stationary occupations and currents")
     p.add_argument("model")
     p.add_argument("--full-matrix", action="store_true")
-    p.set_defaults(func=cmd_stationary)
+    p.set_defaults(func="cmd_stationary")
 
     p = sub.add_parser("evolve", help="time series of the covariance flow")
     p.add_argument("model")
     p.add_argument("--m0", default="mixed", help="stationary|mixed|vacuum or a covariance file")
     p.add_argument("--t-final", type=float, required=True)
     p.add_argument("--samples", type=int, required=True)
-    p.set_defaults(func=cmd_evolve)
+    p.set_defaults(func="cmd_evolve")
 
     p = sub.add_parser("oracle-compare", help="dense-oracle regression check")
     p.add_argument("model")
     p.add_argument("--t", type=float, default=1.0)
     p.add_argument("--iso", choices=[tag.name for tag in IsomorphismTag], default="E_BS")
     p.add_argument("--max-deviation", type=float, default=1e-7)
-    p.set_defaults(func=cmd_oracle_compare)
+    p.set_defaults(func="cmd_oracle_compare")
 
     p = sub.add_parser("model", help="model-file utilities")
     msub = p.add_subparsers(dest="model_command", required=True)
@@ -458,19 +483,22 @@ def _build_parser() -> _Parser:
     b.add_argument("preset", choices=sorted(PRESETS))
     b.add_argument("--set", action="append", metavar="KEY=VALUE")
     b.add_argument("--output", "-o")
-    b.set_defaults(func=cmd_model_build)
+    b.set_defaults(func="cmd_model_build")
 
     return parser
+
+
+_PARSER = _build_parser()  # commands are looked up by name when ``main`` runs
 
 
 def main(argv=None, out=None, err=None) -> int:
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
     try:
-        args = _build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
         # overflow reaches stderr as one error line: the finite and NaN checks reject it
         with np.errstate(all="ignore"):
-            return args.func(args, out, err)
+            return globals()[args.func](args, out, err)
     except UsageError as exc:
         err.write(f"error: {exc}\n")
         return 1

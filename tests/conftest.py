@@ -1,6 +1,10 @@
-"""Shared random-model builders for the test suite."""
+"""Shared random-model builders for the test suite, and a guard on the
+process-wide garbage-collector state that ``fermicov.cli`` pauses."""
+
+import gc
 
 import numpy as np
+import pytest
 
 from fermicov import (
     BasisTag,
@@ -11,6 +15,18 @@ from fermicov import (
     validate_coupling,
     validate_qf,
 )
+
+
+@pytest.fixture(autouse=True)
+def collector_state_kept():
+    """Fail a test that leaves the cyclic garbage collector disabled or its
+    thresholds changed, after restoring both for the tests that follow."""
+    threshold = gc.get_threshold()
+    yield
+    left = (gc.isenabled(), gc.get_threshold())
+    gc.enable()
+    gc.set_threshold(*threshold)
+    assert left == (True, threshold), "the test left the garbage collector disabled or re-tuned"
 
 
 def random_qf(rng, modes: int) -> HamiltonianMatrix:

@@ -1,6 +1,12 @@
+import contextlib
+import gc
 import io
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,8 +35,9 @@ def run_cli(*argv):
 
 
 def write_model(tmp_path, doc, name="model.json"):
+    """Write ``doc`` as JSON; a str is written as the file's text."""
     path = tmp_path / name
-    path.write_text(json.dumps(doc))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     return str(path)
 
 
@@ -516,6 +523,13 @@ class TestExitCodes:
         code, _, err = run_cli("check", str(path))
         assert code == 1
 
+    def test_model_file_not_utf8(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"schema_version": 1, "preset": {"name": "caf\xe9"}}'.encode("latin-1"))
+        code, out, err = run_cli("check", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: model file is not valid JSON: ") and err.count("\n") == 1
+
     def test_wrong_schema_version(self, tmp_path):
         path = write_model(tmp_path, {"schema_version": 99, "preset": {"name": "star"}})
         code, _, err = run_cli("check", path)
@@ -565,6 +579,7 @@ _M0_EIGENVALUE_1_2 = 0.5 * np.eye(6, dtype=complex)
 _M0_EIGENVALUE_1_2[0, 3], _M0_EIGENVALUE_1_2[3, 0] = 0.7j, -0.7j
 _M0_STRING_ENTRY = matrix_to_json(0.5 * np.eye(6))
 _M0_STRING_ENTRY[0][1] = "00"
+_DEEP = "[" * 100000 + "]" * 100000
 
 BAD_INPUTS = {
     # model data that fail their structural checks
@@ -609,6 +624,9 @@ BAD_INPUTS = {
     "mode_count true": (_explicit_with("mode_count", True), None, ["check"]),
     "mode_count string": (_explicit_with("mode_count", "1"), None, ["check"]),
     "bath_modes 1.5": (_explicit_with("bath_modes", 1.5), None, ["check"]),
+    # nesting deeper than the JSON decoder's recursion limit
+    "model file nested too deeply": (_DEEP, None, ["check"]),
+    "m0 file nested too deeply": (_CHAIN, _DEEP, ["evolve", "--t-final", "1", "--samples", "2"]),
 }
 
 
@@ -695,3 +713,95 @@ class TestPresets:
         path = write_model(tmp_path, doc)
         loaded, _ = load_model(path)
         assert np.abs(loaded.t_s.entries - spec.t_s.entries).max() < 1e-12
+
+
+class TestParser:
+    """``main`` builds its parser once per process, and no call leaks into the next."""
+
+    def test_calls_build_no_parser(self, tmp_path, monkeypatch):
+        path = write_model(tmp_path, _CHAIN)
+        run_cli("check", path)  # the parser exists from here on, whether built at import or on first use
+        built = []
+        init = cli._Parser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counted)
+        for argv in (["check", path], ["stationary", path, "--full-matrix"], ["evolve", path], ["model", "build", "xy"]):
+            run_cli(*argv)
+        assert built == []
+
+    @pytest.mark.parametrize(
+        "bad, good",
+        [
+            (["stationary", "{model}", "--full-matrix", "--bogus"], ["stationary", "{model}"]),
+            (["model", "build", "star", "--set", "length=4", "--set", "bogus"], ["model", "build", "star"]),
+        ],
+        ids=["stationary", "model build"],
+    )
+    def test_usage_error_then_a_run_matching_a_fresh_process(self, bad, good, tmp_path):
+        path = write_model(tmp_path, _CHAIN)
+        bad, good = ([arg.format(model=path) for arg in argv] for argv in (bad, good))
+        code, out, err = run_cli(*bad)
+        assert (code, out) == (1, "") and err.startswith("error: ")
+        code, out, err = run_cli(*good)
+        assert (code, err) == (0, "")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        fresh = subprocess.run(
+            [sys.executable, "-m", "fermicov.cli", *good],
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=120,
+        )
+        assert (fresh.returncode, fresh.stderr) == (0, b"")
+        assert out.encode() == fresh.stdout
+
+
+class TestCollectorPause:
+    """``load_model`` pauses the cyclic garbage collector while it parses, and
+    frees the file's nested lists before the collector resumes."""
+
+    CASES = {
+        "valid": _CHAIN,
+        "missing file": None,
+        "invalid JSON": "{not json",
+        "string entry": _explicit_entry("t_s", "00"),
+        "deep nesting": _DEEP,
+    }
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_prior_state_is_restored(self, case, enabled, tmp_path):
+        doc = self.CASES[case]
+        path = str(tmp_path / "missing.json") if doc is None else write_model(tmp_path, doc)
+        (gc.enable if enabled else gc.disable)()
+        try:
+            with contextlib.nullcontext() if case == "valid" else pytest.raises(cli.UsageError):
+                load_model(path)
+            restored = gc.isenabled()
+        finally:
+            gc.enable()
+        assert restored is enabled
+
+    def test_loads_promote_nothing_to_the_oldest_generation(self, tmp_path, monkeypatch):
+        path = write_model(tmp_path, explicit_doc(random_semigroup(np.random.default_rng(9), 24, 2)))
+        sizes = []
+
+        def sampled(data, what):
+            sizes.append(len(gc.get_objects(generation=2)))  # every list of the file is alive here
+            return matrix_from_json(data, what)
+
+        monkeypatch.setattr(cli, "matrix_from_json", sampled)
+        threshold = gc.get_threshold()
+        gc.collect()
+        before = len(gc.get_objects(generation=2))
+        gc.set_threshold(10, 1, 1)  # young collections every few allocations
+        try:
+            documents = [load_model(path)[1] for _ in range(20)]
+            sizes.append(len(gc.get_objects(generation=2)))
+        finally:
+            gc.set_threshold(*threshold)
+        assert len(documents) == 20 and len(sizes) == 61
+        assert max(sizes) - before < 100
