@@ -13,11 +13,12 @@ exact density-matrix evolution with no integrator error.  The state stays a
 above, O(8^L) work; the 4^L x 4^L vectorization (``superoperator``) is built
 only for the kernel (``stationary_dense``).  The jump operators are field
 operators of the eigenvectors of the positive matrix (1/2) Theta (I - M_B)
-Theta* (Majorana basis), all built by one contraction with the cached
-Majorana stack of ``fock``; depending on the tensor-product identification a
-fermion parity factor is appended to some of them, which is invisible on
-even states but matters for odd ones.  ``apply_generator`` keeps the first,
-literal form as the reference for both.
+Theta* (Majorana basis), all written in one call to ``fock._field`` from the
+signed-permutation rows of the Majorana operators; depending on the
+tensor-product identification a fermion parity factor is appended to some of
+them (a sign on each column), which is invisible on even states but matters
+for odd ones.  ``apply_generator`` keeps the first, literal form as the
+reference for both.
 
 Also provides the single interaction step of the underlying repeated
 interaction process, whose tau -> 0 limit with coupling 1/sqrt(tau) is the
@@ -98,7 +99,7 @@ def _jumps_from_matrix(c: np.ndarray, mode_count: int, twisted: bool) -> list[np
     keep = lam > cutoff
     jumps = _field((vec[:, keep] * np.sqrt(lam[keep])).T, mode_count)
     if twisted:
-        jumps = jumps @ _parity(mode_count)
+        jumps = jumps * _parity(mode_count)
     return list(jumps)
 
 
@@ -304,8 +305,8 @@ def repeated_interaction_step(
     Iterating floor(t / tau) times approaches the semigroup as tau -> 0.  The
     bath state must be even, which makes the order-sqrt(tau) term vanish.
     """
-    if tau <= 0:
-        raise ValueError("step length must be positive")
+    if not 0 < tau < np.inf:
+        raise ValueError("step length must be positive and finite")
     L, K = spec.mode_count, spec.bath_modes
     if L + K > N_DENSE_MAX:
         raise TooLarge(f"joint space of {L + K} modes exceeds the dense cap {N_DENSE_MAX}")
@@ -313,7 +314,7 @@ def repeated_interaction_step(
     if omega.op.mode_count != K:
         raise StructureViolation(f"bath state has {omega.op.mode_count} modes, spec wants {K}")
     par = _parity(K)
-    res = _max_abs(omega.op.entries @ par - par @ omega.op.entries)
+    res = _max_abs(omega.op.entries * par - par[:, None] * omega.op.entries)
     if res > 1e-9:
         raise StructureViolation("bath state must be even", res)
 

@@ -1,3 +1,7 @@
+import gc
+import tracemalloc
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -6,6 +10,7 @@ from fermicov import (
     DenseOperator,
     DenseState,
     IsomorphismTag,
+    StructureViolation,
     TooLarge,
     UnsupportedIso,
     annihilation_ops,
@@ -26,10 +31,24 @@ from fermicov import (
     validate_small_covariance,
     wick_moment,
 )
+from fermicov import fock
 
 from conftest import random_covariance, random_qf
 
 CA = BasisTag.CREATION_ANNIHILATION
+
+
+def _reference_annihilators(n):
+    """Jordan-Wigner annihilators as Kronecker products, shape (n, 2^n, 2^n)."""
+    a = np.array([[0.0, 1.0], [0.0, 0.0]])
+    z = np.diag([1.0, -1.0])
+    return np.array([reduce(np.kron, [z] * i + [a] + [np.eye(2)] * (n - 1 - i)) for i in range(n)])
+
+
+def _reference_majoranas(n):
+    cs = _reference_annihilators(n)
+    cds = cs.transpose(0, 2, 1)
+    return np.concatenate([cs + cds, -1j * (cs - cds)])
 
 
 def _state(arr):
@@ -72,6 +91,64 @@ class TestMajoranaOps:
         # c_2 |11> = -|10>: occupied site 1 contributes the sign
         idx_11, idx_10 = 0b11, 0b10
         assert cs[1][idx_10, idx_11] == -1.0
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+class TestKroneckerReference:
+    def test_majoranas(self, n):
+        assert np.array_equal([g.entries for g in majorana_ops(n)], _reference_majoranas(n))
+
+    def test_annihilators(self, n):
+        assert np.array_equal([c.entries for c in annihilation_ops(n)], _reference_annihilators(n))
+
+    def test_parity(self, n):
+        z = np.diag([1.0, -1.0])
+        assert np.array_equal(parity_op(n).entries, reduce(np.kron, [z] * n))
+
+    def test_field_operator(self, n):
+        rng = np.random.default_rng(70 + n)
+        x = rng.standard_normal(2 * n) + 1j * rng.standard_normal(2 * n)
+        reference = np.tensordot(x, _reference_majoranas(n), axes=1)
+        assert np.array_equal(field_operator(x, n).entries, reference)
+
+
+class TestMemory:
+    def test_cold_quadratic_hamiltonian_peak(self):
+        # building the dense (2n, 2^n, 2^n) Majorana stack peaked at 144 MiB at n = 9
+        t = random_qf(np.random.default_rng(80), 9)
+        quadratic_hamiltonian(random_qf(np.random.default_rng(81), 2), 0.5)
+        fock._majorana_rows.cache_clear()
+        tracemalloc.start()
+        try:
+            quadratic_hamiltonian(t, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
+    def test_caches_hold_no_dense_matrices(self):
+        # what is still allocated once the results are dropped is what the caches hold
+        def build():
+            rng = np.random.default_rng(82)
+            majorana_ops(8), annihilation_ops(8), parity_op(8)
+            rho = quasifree_state(random_covariance(rng, 8))
+            covariance_of(rho)
+            embed(parity_op(4), parity_op(4), IsomorphismTag.E_SB)
+
+        build()
+        caches = [f for f in vars(fock).values() if hasattr(f, "cache_clear")]
+        assert fock._majorana_rows in caches
+        for f in caches:
+            f.cache_clear()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            build()
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 2**20
 
 
 class TestQuadraticHamiltonian:
@@ -117,6 +194,12 @@ class TestQuadraticHamiltonian:
 
 
 class TestGibbsState:
+    @pytest.mark.parametrize("beta", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_beta(self, beta):
+        t = validate_qf(np.diag([1.0, -1.0]).astype(complex), CA)
+        with pytest.raises(StructureViolation, match="beta must be finite"):
+            gibbs_state(quadratic_hamiltonian(t, 1.0), beta)
+
     def test_infinite_temperature(self):
         t = validate_qf(np.diag([1.0, -1.0]).astype(complex), CA)
         rho = gibbs_state(quadratic_hamiltonian(t, 1.0), 0.0)

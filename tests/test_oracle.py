@@ -318,6 +318,14 @@ class TestRepeatedInteraction:
         assert errs[1] < errs[0]
         assert errs[1] < 5e-2
 
+    @pytest.mark.parametrize("tau", [0.0, -0.1, np.nan, np.inf])
+    def test_rejects_step_length_not_positive_and_finite(self, tau):
+        rng = np.random.default_rng(18)
+        spec = random_semigroup(rng, 1, 1)
+        omega = quasifree_state(spec.m_b)
+        with pytest.raises(ValueError, match="positive and finite"):
+            repeated_interaction_step(spec, omega, tau)
+
     def test_rejects_odd_bath_state(self):
         rng = np.random.default_rng(17)
         spec = random_semigroup(rng, 1, 1)

@@ -10,6 +10,7 @@ from fermicov import (
     covariance_of,
     full_from_small,
     gibbs_state,
+    majorana_ops,
     quadratic_hamiltonian,
     quasifree_state,
     small_covariance_from_gibbs,
@@ -18,7 +19,6 @@ from fermicov import (
     validate_small_covariance,
     wick_moment,
 )
-from fermicov.fock import _majoranas
 from fermicov.models import chain_hamiltonian
 
 from conftest import random_covariance, random_qf
@@ -130,7 +130,7 @@ class TestWick:
         modes = 3
         m = random_covariance(rng, modes, beta=0.8)
         rho = quasifree_state(m).op.entries
-        gs = _majoranas(modes)
+        gs = [g.entries for g in majorana_ops(modes)]
         word = [rng.standard_normal(2 * modes) + 1j * rng.standard_normal(2 * modes) for _ in range(length)]
         dense_op = np.eye(2**modes, dtype=complex)
         for x in word:
