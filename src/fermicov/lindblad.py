@@ -1,15 +1,15 @@
 """Quasi-free Lindblad semigroups at the covariance-matrix level.
 
-The state of the open system is tracked through its covariance matrix M,
-which obeys the affine master equation (Majorana basis)
+In the Majorana basis T_S = iA, Theta = iW and M = I/2 + iR with A, W and R
+real, so the master equation
 
-    dM/dt = -i [T_S, M] - 1/2 {Theta Theta*, M} + Theta M_B Theta*
-          = G M + M G* + P,
+    dM/dt = -i [T_S, M] - 1/2 {Theta Theta*, M} + Theta M_B Theta* = G M + M G* + P
 
-with drift G = -i T_S - 1/2 Theta Theta* and pump P = Theta M_B Theta*.
-The flow over a time step dt is affine, M(t + dt) = E_dt M(t) E_dt* + Q_dt,
-so a time series on an evenly spaced grid steps one (E_dt, Q_dt) through the
-semigroup law (``propagate_series``); ``propagate`` is its single-step case.
+keeps I/2 fixed and moves R by dR/dt = G R + R G^T + Y, with the real drift
+G = A - 1/2 W W^T (``spec.drift.real``) and Y = W R_B W^T (``spec.pump.imag``).
+The stationary solve and the flow R(t) = E R(0) E^T + Q work on R in real
+arithmetic; ``propagate_series`` steps one flow on an even grid, and
+``propagate`` is its single-step case.
 
 The stationary state is unique exactly when span{T_S^k Theta} is the whole
 space (the Kalman-type criterion).  Since T_S is Hermitian, ``_uncontrolled``
@@ -17,12 +17,9 @@ decides it in the eigenbasis of T_S (the PBH test): one ``eigh``, and per
 cluster of near-equal eigenvalues one SVD of the cluster's overlap with
 Theta, whose null vectors span that cluster's part of the uncontrolled
 subspace V_u.  The Kalman rank is n - dim V_u, and the same V_u decides
-convergence.  The gauge-invariant reduction to L x L data and the support
-decomposition of degenerate stationary states are here too.
-
-Full (2L) and gauge-invariant (L x L) data share one core: ``_drift_pump``
-builds G and P for both, and ``_lyapunov_solve`` is the one stationary
-solve, with its uniqueness gate and its residual check.
+convergence.  On V_u the drift is the antisymmetric A, so the flow rotates
+it exactly.  Gauge-invariant L x L data keeps its own ergodicity test and
+block propagation, and reads its stationary state off the lifted solve.
 """
 
 from __future__ import annotations
@@ -55,11 +52,12 @@ from .quasifree import (
     CovarianceMatrix,
     SmallCovarianceMatrix,
     full_from_small,
+    small_from_full,
     validate_covariance,
     validate_small_covariance,
 )
 
-#: Bound on |G M + M G* + P| / |P|, the only numerical gate on the stationary solve.
+#: Bound on |G M + M G* + P| / |P|, the residual gate on the stationary solve.
 RESIDUAL_TOL = 1e-10
 #: Covariance eigenvalues within this distance of 1 count as pinned-empty modes.
 PIN_TOL = 1e-7
@@ -176,8 +174,8 @@ def lift_gauge_invariant(gi: GaugeInvariantSpec) -> SemigroupSpec:
     )
 
 
-def _uncontrolled(t: np.ndarray, theta: np.ndarray, majorana: bool = False) -> tuple[int, bool, complex | None]:
-    """Kalman rank, convergence and an offending eigenvalue from one ``eigh`` of t.
+def _uncontrolled(t: np.ndarray, theta: np.ndarray, majorana: bool = False) -> tuple:
+    """Kalman rank, convergence, an offending eigenvalue and V_u from one ``eigh`` of t.
 
     Eigenvalues of the Hermitian t closer than ``CLUSTER_GAP`` form a cluster.
     For a cluster with eigenvectors V, the right singular vectors of Theta* V
@@ -187,8 +185,9 @@ def _uncontrolled(t: np.ndarray, theta: np.ndarray, majorana: bool = False) -> t
     the spectrum, bounds the rounding error of V (Davis-Kahan).  Returns
     n - dim V_u; whether t acts on V_u as one multiple of the identity within
     TAU_NUM |t|, so that every state converges; and the mean eigenvalue of the
-    first uncontrolled cluster.  A Majorana spectrum is symmetric about 0, and
-    with ``majorana`` it is symmetrized so that the clusters at +-lambda pair.
+    first uncontrolled cluster; and orthonormal columns spanning V_u.  A
+    Majorana spectrum is symmetric about 0, and with ``majorana`` it is
+    symmetrized so that the clusters at +-lambda pair.
     """
     w, v = scipy.linalg.eigh(t)
     if majorana:
@@ -199,6 +198,7 @@ def _uncontrolled(t: np.ndarray, theta: np.ndarray, majorana: bool = False) -> t
     overlap = theta.conj().T @ v
     edges = [0, *(np.flatnonzero(np.diff(w) > CLUSTER_GAP) + 1), n]
     on_vu = []  # eigenvalues of t restricted to each cluster's part of V_u
+    v_u = [v[:, :0]]
     offending = None
     for lo, hi in zip(edges[:-1], edges[1:]):
         sep = min(w[lo] - w[lo - 1] if lo else np.inf, w[hi] - w[hi - 1] if hi < n else np.inf)
@@ -210,13 +210,14 @@ def _uncontrolled(t: np.ndarray, theta: np.ndarray, majorana: bool = False) -> t
             lam = np.linalg.eigvalsh(null.conj().T @ (w[lo:hi, None] * null))
             offending = complex(lam.mean()) if offending is None else offending
             on_vu.append(lam)
+            v_u.append(v[:, lo:hi] @ null)
     lam = np.concatenate(on_vu) if on_vu else np.zeros(0)
     converges = lam.size == 0 or float(np.ptp(lam)) <= TAU_NUM * _scale(t)
-    return n - lam.size, converges, offending
+    return n - lam.size, converges, offending, np.hstack(v_u)
 
 
 def _ergodicity_core(t: np.ndarray, theta: np.ndarray, drift: np.ndarray, majorana: bool) -> ErgodicityReport:
-    rank, converges, offending = _uncontrolled(t, theta, majorana)
+    rank, converges, offending, _ = _uncontrolled(t, theta, majorana)
     unique = rank == t.shape[0]
     return ErgodicityReport(
         kalman_rank=rank,
@@ -230,7 +231,7 @@ def _ergodicity_core(t: np.ndarray, theta: np.ndarray, drift: np.ndarray, majora
 
 def ergodicity(spec: SemigroupSpec) -> ErgodicityReport:
     """Uniqueness/convergence criteria for the full 2L-dimensional semigroup."""
-    return _ergodicity_core(spec.t_s.entries, spec.theta.entries, spec.drift, majorana=True)
+    return _ergodicity_core(spec.t_s.entries, spec.theta.entries, spec.drift.real, majorana=True)
 
 
 def ergodicity_gauge_invariant(spec: GaugeInvariantSpec) -> ErgodicityReport:
@@ -251,20 +252,32 @@ def _checked(check, *args):
         raise NumericalFailure(str(exc)) from exc
 
 
-def _lyapunov_solve(drift: np.ndarray, pump: np.ndarray, report: ErgodicityReport) -> np.ndarray:
-    """Hermitian solution of G M + M G* = -P (Bartels-Stewart), gated on uniqueness.
+def _stationary_given(spec: SemigroupSpec, report: ErgodicityReport, n: int = 0) -> CovarianceMatrix:
+    """``stationary`` given the spec's ergodicity report, whose rank counts n (2L by default) dimensions.
 
-    Raises NonUniqueStationary when ``report`` fails the uniqueness criterion,
-    and NumericalFailure when the residual exceeds ``RESIDUAL_TOL`` |P|.
+    Solves G R + R G^T = -Y by Bartels-Stewart on one real Schur form of G,
+    then takes one step of iterative refinement with the same form.  Raises
+    NumericalFailure when the report says unique but the drift is not
+    Hurwitz, or when i (G R + R G^T + Y), the full residual, exceeds
+    ``RESIDUAL_TOL`` |P|.
     """
     if not report.unique_stationary:
-        raise NonUniqueStationary(f"controllability rank {report.kalman_rank} < {drift.shape[0]}")
-    m = scipy.linalg.solve_continuous_lyapunov(drift, -pump)
-    m = (m + m.conj().T) / 2
-    residual = _max_abs(drift @ m + m @ drift.conj().T + pump)
-    if not residual <= RESIDUAL_TOL * max(_max_abs(pump), 1e-300):
+        raise NonUniqueStationary(f"controllability rank {report.kalman_rank} < {n or 2 * spec.mode_count}")
+    if not report.spectral_abscissa < HURWITZ_TOL:
+        a = report.spectral_abscissa
+        raise NumericalFailure(f"unique, but drift spectral abscissa {a:.3e} >= HURWITZ_TOL = {HURWITZ_TOL:.0e}")
+    g, y = spec.drift.real, spec.pump.imag
+    s, z = scipy.linalg.schur(g, output="real")
+    r = np.zeros_like(g)
+    for _ in range(2):  # the solve, then one step of iterative refinement
+        c = z.T @ (g @ r + r @ g.T + y) @ z
+        x, scale, _ = scipy.linalg.lapack.dtrsyl(s, s, c, tranb="T")
+        r = r - z @ x @ z.T / scale
+    r = (r - r.T) / 2
+    residual = _max_abs(g @ r + r @ g.T + y)
+    if not residual <= RESIDUAL_TOL * max(_max_abs(spec.pump), 1e-300):
         raise NumericalFailure(f"stationary residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e} |P|")
-    return m
+    return _checked(validate_covariance, 0.5 * np.eye(len(r)) + 1j * r, BasisTag.MAJORANA)
 
 
 def stationary(spec: SemigroupSpec) -> CovarianceMatrix:
@@ -272,20 +285,15 @@ def stationary(spec: SemigroupSpec) -> CovarianceMatrix:
 
     Raises NonUniqueStationary when the uniqueness criterion fails; that is a
     property of the model, not a numerical defect.  A solution that fails
-    the covariance check raises NumericalFailure.
+    its checks raises NumericalFailure.
     """
     return _stationary_given(spec, ergodicity(spec))
 
 
-def _stationary_given(spec: SemigroupSpec, report: ErgodicityReport) -> CovarianceMatrix:
-    """``stationary`` for a caller that already holds the spec's ergodicity report."""
-    return _checked(validate_covariance, _lyapunov_solve(spec.drift, spec.pump, report), BasisTag.MAJORANA)
-
-
 def stationary_gauge_invariant(spec: GaugeInvariantSpec) -> SmallCovarianceMatrix:
-    """Stationary small covariance of an ergodic gauge-invariant semigroup."""
+    """Stationary small covariance of an ergodic gauge-invariant semigroup, from the lifted solve."""
     report = ergodicity_gauge_invariant(spec)
-    return _checked(validate_small_covariance, _lyapunov_solve(spec.drift0, spec.pump0, report))
+    return small_from_full(_stationary_given(lift_gauge_invariant(spec), report, spec.mode_count))
 
 
 def _affine_flow(drift: np.ndarray, pump: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -294,7 +302,7 @@ def _affine_flow(drift: np.ndarray, pump: np.ndarray, t: float) -> tuple[np.ndar
     The Van Loan block exp(h [[G, P], [0, -G*]]) = [[E_h, F], [0, E_h^-*]]
     gives E_h and Q_h = F E_h* at a step h = t / 2^k with h |G|_1 <= 1, where
     the growing e^(-h G*) block stays bounded; k doublings
-    (E, Q) <- (E^2, E Q E* + Q) then reach t.
+    (E, Q) <- (E^2, E Q E* + Q) then reach t.  Real data gives a real flow.
     """
     n = drift.shape[0]
     k = max(int(np.frexp(t * np.abs(drift).sum(axis=0).max(initial=0.0))[1]), 0)
@@ -310,33 +318,63 @@ def _affine_flow(drift: np.ndarray, pump: np.ndarray, t: float) -> tuple[np.ndar
     return e, q
 
 
+def _majorana_flow(spec: SemigroupSpec, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Real (E, Q) with R(t) = E R(0) E^T + Q for dR/dt = G R + R G^T + Y.
+
+    A Hurwitz drift has no V_u.  Otherwise V_u, being closed under
+    conjugation, has a real orthonormal basis U_u; G keeps V_u and its
+    complement V_c, acts on V_u as the antisymmetric A_u, and Y vanishes
+    there.  So V_u gets the exact rotation e^(t A_u) from one ``eigh``, with
+    eigenvalues within rounding of zero set to zero so that a dark mode stays
+    put at any t, and only V_c goes through ``_affine_flow``.  Written as
+    E = I + U (e^(tG) - I) U^T, E is exactly I at t = 0.
+    """
+    g, y = spec.drift.real, spec.pump.imag
+    hurwitz = np.linalg.eigvals(g).real.max() < HURWITZ_TOL
+    v_u = g[:, :0] if hurwitz else _uncontrolled(spec.t_s.entries, spec.theta.entries, majorana=True)[3]
+    k = v_u.shape[1]
+    if k == 0:
+        return _affine_flow(g, y, t)
+    basis = np.linalg.svd(np.hstack([v_u.real, v_u.imag]))[0]
+    u_u, u_c = basis[:, :k], basis[:, k:]
+    e_c, q_c = _affine_flow(u_c.T @ g @ u_c, u_c.T @ y @ u_c, t)
+    a_u = u_u.T @ g @ u_u
+    w, v = scipy.linalg.eigh(0.5j * (a_u - a_u.T))  # i A_u, Hermitian
+    w[np.abs(w) <= 64 * len(g) * np.finfo(float).eps * _max_abs(g)] = 0.0
+    rotation = ((v * np.expm1(-1j * t * w)) @ v.conj().T).real  # e^(t A_u) - I
+    e = np.eye(len(g)) + u_c @ (e_c - np.eye(len(e_c))) @ u_c.T + u_u @ rotation @ u_u.T
+    return e, u_c @ q_c @ u_c.T
+
+
 def propagate_series(
     spec: SemigroupSpec, m0: CovarianceMatrix, dt: float, steps: int
 ) -> Iterator[CovarianceMatrix]:
     """Yield M(0), M(dt), ..., M(steps dt) in the Majorana basis.
 
-    Computes one affine flow (E, Q) over dt with ``_affine_flow`` and steps
-    it by the semigroup law M((j+1) dt) = E M(j dt) E* + Q, whether or not
-    the stationary state is unique.  M(0) is ``m0``, trusted by its tag;
-    every stepped state is Hermitian-symmetrized and validated, and a state
-    that fails raises NumericalFailure.  The checks on dt and m0 run when
-    iteration starts.
+    Computes one flow (E, Q) over dt with ``_majorana_flow`` and steps R by
+    the semigroup law R((j+1) dt) = E R(j dt) E^T + Q, whether or not the
+    stationary state is unique.  M(0) is ``m0``, trusted by its tag; every
+    stepped state is I/2 + iR with R antisymmetrized, and one that fails its
+    validation raises NumericalFailure.  The checks on dt, steps and m0 run
+    when iteration starts.
     """
-    if dt < 0:
-        raise ValueError("propagation time must be nonnegative")
+    if not (np.isfinite(dt) and dt >= 0):
+        raise ValueError("propagation time must be nonnegative and finite")
+    if steps < 0:
+        raise ValueError("step count must be nonnegative")
     if m0.mode_count != spec.mode_count:
         raise StructureViolation(
             f"initial covariance has {m0.mode_count} modes, spec has {spec.mode_count}"
         )
-    e, q = _affine_flow(spec.drift, spec.pump, float(dt))
-    e_adj = e.conj().T
+    e, q = _majorana_flow(spec, float(dt))
     m = convert_basis(m0, BasisTag.MAJORANA)
     yield m
+    r = m.entries.imag
+    half = 0.5 * np.eye(len(r))
     for _ in range(steps):
-        out = e @ m.entries @ e_adj + q
-        m = CovarianceMatrix(
-            entries=(out + out.conj().T) / 2, basis=BasisTag.MAJORANA, mode_count=spec.mode_count
-        )
+        r = e @ r @ e.T + q
+        r = (r - r.T) / 2
+        m = CovarianceMatrix(entries=half + 1j * r, basis=BasisTag.MAJORANA, mode_count=spec.mode_count)
         _checked(m.validate)
         yield m
 
@@ -344,7 +382,7 @@ def propagate_series(
 def propagate(spec: SemigroupSpec, m0: CovarianceMatrix, t: float) -> CovarianceMatrix:
     """Solve the covariance master equation up to time t >= 0.
 
-    The single-step case of ``propagate_series``: one affine flow over t,
+    The single-step case of ``propagate_series``: one flow over t,
     applied once and validated once.  The result is returned in the basis
     of ``m0``.
     """
@@ -362,8 +400,8 @@ def propagate_gauge_invariant(
     dA/dt = G0 A + A G0^T, so A(t) = E A(0) E^T with the same E = e^(t G0)
     and decays to 0 whenever the uniqueness criterion holds.
     """
-    if t < 0:
-        raise ValueError("propagation time must be nonnegative")
+    if not (np.isfinite(t) and t >= 0):
+        raise ValueError("propagation time must be nonnegative and finite")
     a_mat = _as_matrix(a0)
     L = spec.mode_count
     if m0.mode_count != L or a_mat.shape != (L, L):

@@ -20,6 +20,11 @@ through ``_check_particle_hole``: its entries are converted to the Majorana
 basis (Majorana-tagged entries are read in place) and their real or imaginary
 part is compared with the target.
 
+The same fact makes the Bogoliubov reduction real: ``block_reduce`` takes
+T = iA in the Majorana basis and reads its modes and its transform off one
+real Schur form of A, a real orthogonal matrix that it converts back to the
+creation/annihilation basis.
+
 A tagged value is validated once, by the function that builds it: a
 ``validate_*`` constructor for caller data, each computation for its result.
 A function that receives a tagged value trusts its tag.
@@ -48,8 +53,8 @@ class BasisTag(Enum):
     CREATION_ANNIHILATION = "creation-annihilation"
 
 
-def _as_matrix(entries) -> np.ndarray:
-    m = np.asarray(entries, dtype=complex)
+def _as_matrix(entries, dtype=complex) -> np.ndarray:
+    m = np.asarray(entries, dtype=dtype)
     if m.ndim != 2:
         raise StructureViolation("expected a matrix")
     if not np.all(np.isfinite(m)):
@@ -205,63 +210,15 @@ def validate_coupling(entries, basis: BasisTag) -> CouplingMatrix:
 
 
 def expm(m) -> np.ndarray:
-    """Matrix exponential (scaling and squaring); rejects non-finite results."""
-    m = _as_matrix(m)
+    """Matrix exponential (scaling and squaring); rejects non-finite results.
+
+    A real matrix gives a real exponential."""
+    m = np.asarray(m)
+    m = _as_matrix(m, float if np.isrealobj(m) else complex)
     out = scipy.linalg.expm(m)
     if not np.all(np.isfinite(out)):
         raise NumericalFailure("matrix exponential overflowed")
     return out
-
-
-def _xi(v: np.ndarray) -> np.ndarray:
-    """Particle-hole conjugation on creation/annihilation coordinates."""
-    n = v.shape[0] // 2
-    out = np.conj(v)
-    return np.concatenate([out[n:], out[:n]], axis=0)
-
-
-def _pair_zero_space(kernel: np.ndarray) -> np.ndarray:
-    """Split a particle-hole invariant kernel into (v, xi v) column pairs.
-
-    Returns the L0 columns v such that [v | xi v] is orthonormal.  Works by
-    building an orthonormal basis of xi-fixed vectors (real combinations only)
-    and joining them pairwise.
-    """
-    dim, width = kernel.shape
-    m = width // 2
-    if width == 0:
-        return kernel[:, :0]
-    candidates = []
-    for k in range(width):
-        w = kernel[:, k]
-        candidates.append(w + _xi(w))
-        candidates.append(1j * (w - _xi(w)))
-    fixed: list[np.ndarray] = []
-    for cand in candidates:
-        v = cand.copy()
-        for f in fixed:
-            # inner products of xi-fixed vectors are real
-            v = v - float(np.real(np.vdot(f, v))) * f
-        norm = np.linalg.norm(v)
-        if norm > 1e-8:
-            fixed.append(v / norm)
-        if len(fixed) == 2 * m:
-            break
-    if len(fixed) != 2 * m:
-        raise NumericalFailure("failed to pair the zero eigenspace")
-    cols = [(fixed[2 * j] - 1j * fixed[2 * j + 1]) / np.sqrt(2.0) for j in range(m)]
-    return np.column_stack(cols) if cols else kernel[:, :0]
-
-
-def _lex_tiebreak(values: np.ndarray, vectors: np.ndarray):
-    """Deterministic ordering: descending eigenvalue, then lexicographic real parts."""
-    order = list(range(len(values)))
-
-    def key(i):
-        return (-round(values[i], 12), tuple(np.round(vectors[:, i].real, 12)))
-
-    order.sort(key=key)
-    return values[order], vectors[:, order]
 
 
 def block_reduce(t: HamiltonianMatrix) -> tuple[BogoliubovTransform, np.ndarray]:
@@ -270,31 +227,31 @@ def block_reduce(t: HamiltonianMatrix) -> tuple[BogoliubovTransform, np.ndarray]
     Returns a Bogoliubov transform ``u`` (creation/annihilation basis) and the
     vector ``lam`` of L nonnegative values sorted descending, with
     u* T u = diag(lam, -lam) up to ``TAU_NUM`` (scaled by the matrix norm).
-    Eigenvectors of +lam and -lam are paired through the particle-hole
-    conjugation; the zero eigenspace, where the pairing is ambiguous, is split
-    through conjugation-fixed vectors (for T = 0 this yields the identity).
+
+    In the Majorana basis T = iA with A real antisymmetric, and one real
+    Schur form A = Z S Z^T is block diagonal.  Each 2 x 2 block
+    [[0, b], [-b, 0]] is one mode of value |b|: its two columns of Z become
+    Majorana coordinates k and k + L, swapped when b < 0, which is the
+    Majorana form [[0, lam], [-lam, 0]] of diag(lam, -lam).  The zero 1 x 1
+    blocks pair in order, first half with second half, so T = 0 gives the
+    identity.  The modes are then sorted by lam, descending and stably.
     """
-    tc = convert_basis(t, BasisTag.CREATION_ANNIHILATION).entries
-    n = t.mode_count
-    w, v = scipy.linalg.eigh(tc)
-    ztol = 64 * (2 * n) * np.finfo(float).eps * max(float(np.abs(w).max()), 1e-300)
-    pos = w > ztol
-    neg = w < -ztol
-    if pos.sum() != neg.sum():
-        raise NumericalFailure("asymmetric spectrum in block reduction")
-    lam_pos = w[pos][::-1]
-    v_pos = v[:, pos][:, ::-1]
-    lam_pos, v_pos = _lex_tiebreak(lam_pos, v_pos)
-    kernel = v[:, ~(pos | neg)]
-    v_zero = _pair_zero_space(kernel)
-    v_plus = np.hstack([v_pos, v_zero])
-    lam = np.concatenate([lam_pos, np.zeros(v_zero.shape[1])])
-    x, y = v_plus[:n, :], v_plus[n:, :]
-    u_entries = np.block([[x, y.conj()], [y, x.conj()]])
-    u = BogoliubovTransform(entries=u_entries, basis=BasisTag.CREATION_ANNIHILATION)
+    a = convert_basis(t, BasisTag.MAJORANA).entries.imag
+    s, z = scipy.linalg.schur(a, output="real")
+    starts = np.flatnonzero(np.diag(s, -1))
+    b = (s[starts, starts + 1] - s[starts + 1, starts]) / 2
+    zeros = np.setdiff1d(np.arange(len(a)), np.concatenate([starts, starts + 1]))
+    half = len(zeros) // 2
+    first = np.concatenate([np.where(b > 0, starts, starts + 1), zeros[:half]])
+    second = np.concatenate([np.where(b > 0, starts + 1, starts), zeros[half:]])
+    lam = np.concatenate([np.abs(b), np.zeros(half)])
+    order = np.argsort(-lam, kind="stable")
+    lam = lam[order]
+    o = z[:, np.concatenate([first[order], second[order]])]
+    u = convert_basis(BogoliubovTransform(entries=o, basis=BasisTag.MAJORANA), BasisTag.CREATION_ANNIHILATION)
     u.validate()
-    target = np.diag(np.concatenate([lam, -lam]))
-    res = _max_abs(u_entries.conj().T @ tc @ u_entries - target)
+    tc = convert_basis(t, BasisTag.CREATION_ANNIHILATION).entries
+    res = _max_abs(u.entries.conj().T @ tc @ u.entries - np.diag(np.concatenate([lam, -lam])))
     if res > TAU_NUM * _scale(tc):
         raise NumericalFailure(f"block reduction residual {res:.3e} too large")
     return u, lam

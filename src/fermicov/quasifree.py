@@ -108,6 +108,8 @@ def covariance_from_gibbs(t: HamiltonianMatrix, beta: float) -> CovarianceMatrix
 
 def small_covariance_from_gibbs(t0, beta: float) -> SmallCovarianceMatrix:
     """Gauge-invariant convenience: (I + e^{-beta T0})^{-1} for Hermitian T0."""
+    if not np.isfinite(beta):
+        raise StructureViolation("beta must be finite")
     t0 = _as_matrix(t0)
     _check_hermitian(t0, "gauge-invariant one-body matrix", _tol(t0))
     w, v = scipy.linalg.eigh(t0)

@@ -142,23 +142,46 @@ class TestPropagate:
     def test_time_zero_returns_initial_state(self):
         rng = np.random.default_rng(31)
         spec = lift_gauge_invariant(star_model(3, 1.0, 0.5))
-        m = convert_basis(random_covariance(rng, 3), MAJ).entries
-        # the output is Hermitian-symmetrized, so an exactly Hermitian m0 comes back bit for bit
-        m0 = validate_covariance((m + m.conj().T) / 2, MAJ)
+        r = convert_basis(random_covariance(rng, 3), MAJ).entries.imag
+        # the flow steps R in M = I/2 + iR, so an m0 of exactly that form comes back bit for bit
+        m0 = validate_covariance(0.5 * np.eye(6) + 0.5j * (r - r.T), MAJ)
         assert np.array_equal(propagate(spec, m0, 0.0).entries, m0.entries)
 
-    def test_overflow_is_a_numerical_failure(self):
-        # the star's uncontrolled mode drifts under ~1000 doublings until the flow overflows
-        spec = lift_gauge_invariant(star_model(3, 1.0, 0.5))
-        m0 = validate_covariance(0.5 * np.eye(6), MAJ)
-        with np.errstate(all="ignore"), pytest.raises(NumericalFailure):
-            propagate(spec, m0, 1e300)
+    def test_star_stays_on_its_state_up_to_t_1e300(self):
+        # the star's uncontrolled modes rotate exactly; ~1000 doublings of them overflowed
+        rng = np.random.default_rng(33)
+        for L in (3, 6):
+            spec = lift_gauge_invariant(star_model(L, 1.0, 0.5))
+            for m0 in (validate_covariance(0.5 * np.eye(2 * L), MAJ), random_covariance(rng, L, beta=0.5)):
+                settled = propagate(spec, m0, 1e4).entries
+                for t in np.geomspace(1e6, 1e300, 50):
+                    assert np.abs(propagate(spec, m0, t).entries - settled).max() < 1e-12
 
     def test_rejects_negative_time(self):
         rng = np.random.default_rng(2)
         spec = random_semigroup(rng, 2, 1)
         with pytest.raises(ValueError):
             propagate(spec, random_covariance(rng, 2), -1.0)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf])
+    def test_rejects_non_finite_time(self, t):
+        rng = np.random.default_rng(2)
+        spec = random_semigroup(rng, 2, 1)
+        m0 = random_covariance(rng, 2)
+        message = "propagation time must be nonnegative and finite"
+        with pytest.raises(ValueError, match=message):
+            propagate(spec, m0, t)
+        with pytest.raises(ValueError, match=message):
+            next(propagate_series(spec, m0, t, 3))
+        gi = one_end_chain(2, 1.0, 0.3)
+        with pytest.raises(ValueError, match=message):
+            propagate_gauge_invariant(gi, validate_small_covariance(0.5 * np.eye(2)), np.zeros((2, 2)), t)
+
+    def test_series_rejects_negative_steps(self):
+        rng = np.random.default_rng(2)
+        spec = random_semigroup(rng, 2, 1)
+        with pytest.raises(ValueError, match="step count"):
+            next(propagate_series(spec, random_covariance(rng, 2), 0.1, -3))
 
 
 class TestStationary:
@@ -194,12 +217,35 @@ class TestStationary:
         with pytest.raises(NonUniqueStationary, match="rank 2 < 3"):
             stationary_gauge_invariant(star_model(3, 1.0, 0.5))
 
+    @pytest.mark.parametrize("theta", [1e3, 1e4, 1e5, 1e6, 1e7, 1e8])
+    def test_stiff_one_end_chain_is_right_or_fails(self, theta):
+        # the slowest decay rate falls like 1/theta^2 and meets HURWITZ_TOL near theta = 1e6;
+        # below that the answer is the bath occupation, beyond it a NumericalFailure
+        gi = one_end_chain(3, theta, 0.3)
+        for solve in (
+            lambda: convert_basis(stationary(lift_gauge_invariant(gi)), CA).entries[:3, :3],
+            lambda: stationary_gauge_invariant(gi).entries,
+        ):
+            try:
+                small = solve()
+            except NumericalFailure as exc:
+                assert theta >= 1e6 and "spectral abscissa" in str(exc)
+                continue
+            assert np.abs(small - 0.3 * np.eye(3)).max() < (1e-10 if theta <= 1e5 else 1e-9)
+
     def test_residual_of_solution(self):
         rng = np.random.default_rng(4)
         spec = random_semigroup(rng, 3, 2)
         m = stationary(spec).entries
         res = spec.drift @ m + m @ spec.drift.conj().T + spec.pump
         assert np.abs(res).max() <= 1e-10 * np.abs(spec.pump).max()
+
+
+def test_spec_drift_and_pump_stay_complex():
+    # bench/workloads.py passes them straight to scipy.linalg.solve_continuous_lyapunov,
+    # which in scipy 1.17.1 returns garbage for a real A with a complex Q
+    spec = random_semigroup(np.random.default_rng(34), 3, 1)
+    assert spec.drift.dtype == spec.pump.dtype == np.complex128
 
 
 class TestErgodicity:

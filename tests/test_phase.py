@@ -8,8 +8,11 @@ from fermicov import (
     StructureViolation,
     block_reduce,
     convert_basis,
+    covariance_of,
     expm,
+    quasifree_state,
     validate_coupling,
+    validate_covariance,
     validate_qf,
 )
 from fermicov.phase import CouplingMatrix, _check_hermitian, _convert_entries
@@ -228,6 +231,27 @@ class TestBlockReduce:
         u, lam = block_reduce(t)
         assert np.abs(lam - [2.0, 0.0]).max() < 1e-12
         u.validate()
+
+    @pytest.mark.parametrize("L, kernel", [(L, k) for L in range(1, 9) for k in (0, 2, 4) if k <= 2 * L])
+    def test_random_rank_deficient_reduction(self, L, kernel):
+        rng = np.random.default_rng(10 * L + kernel)
+        # A = Q D Q^T: L - kernel/2 random modes and a kernel of the given dimension
+        d = np.zeros((2 * L, 2 * L))
+        for j in range(L - kernel // 2):
+            d[2 * j, 2 * j + 1] = rng.uniform(0.1, 1.0)
+        q = np.linalg.qr(rng.standard_normal((2 * L, 2 * L)))[0]
+        a = q @ (d - d.T) @ q.T
+        t = validate_qf(1j * (a - a.T) / 2, MAJ)
+        u, lam = block_reduce(t)
+        tc = convert_basis(t, CA).entries
+        assert np.abs(u.entries.conj().T @ tc @ u.entries - np.diag(np.r_[lam, -lam])).max() < 1e-12
+        assert np.all(np.diff(lam) <= 0) and lam.min() >= 0
+        expected = np.sort(d[d > 0])[::-1]
+        assert np.abs(lam - np.r_[expected, np.zeros(kernel // 2)]).max() < 1e-12
+        # as M - I/2 of a covariance, the reduction builds the dense quasi-free state
+        m = validate_covariance(0.5 * np.eye(2 * L) + 0.4j * (a - a.T) / 2, MAJ)
+        back = convert_basis(covariance_of(quasifree_state(m)), MAJ).entries
+        assert np.abs(back - m.entries).max() < 1e-10
 
 
 class TestExpm:

@@ -82,6 +82,15 @@ class TestGibbsCovariance:
         assert eigs.min() > 0.0 and eigs.max() < 1.0
 
 
+@pytest.mark.parametrize("beta", [np.nan, np.inf, -np.inf])
+def test_gibbs_covariances_reject_non_finite_beta(beta):
+    rng = np.random.default_rng(6)
+    with pytest.raises(StructureViolation, match="beta must be finite"):
+        covariance_from_gibbs(random_qf(rng, 2), beta)
+    with pytest.raises(StructureViolation, match="beta must be finite"):
+        small_covariance_from_gibbs(np.diag([1.0, -0.5]), beta)
+
+
 def _lift(t0):
     from fermicov import validate_qf
 
