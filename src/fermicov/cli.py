@@ -23,14 +23,13 @@ import sys
 import numpy as np
 
 from . import models
-from .errors import FermicovError, NonUniqueStationary, StructureViolation, TooLarge, UnsupportedIso
+from .errors import FermicovError, StructureViolation, TooLarge, UnsupportedIso
 from .fock import DenseOperator, DenseState, IsomorphismTag, covariance_of
 from .lindblad import (
     PIN_TOL,
     RESIDUAL_TOL,
     ErgodicityReport,
     SemigroupSpec,
-    _stationary_given,
     ergodicity,
     lift_gauge_invariant,
     make_semigroup,
@@ -320,7 +319,7 @@ def cmd_check(args, out, err) -> int:
 def cmd_stationary(args, out, err) -> int:
     spec = load_model(args.model)[0]
     report = ergodicity(spec)
-    m_inf = _stationary_given(spec, report)
+    m_inf = stationary(spec)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "stationary",
@@ -356,12 +355,9 @@ def cmd_evolve(args, out, err) -> int:
     if args.samples < 1:
         raise UsageError("--samples must be at least 1")
     spec = load_model(args.model)[0]
-    try:
-        m_inf = stationary(spec)
-    except NonUniqueStationary:
-        if args.m0 == "stationary":
-            raise
-        m_inf = None
+    unique = ergodicity(spec).unique_stationary
+    # a stationary start on a model that is not unique raises NonUniqueStationary here
+    m_inf = stationary(spec) if unique or args.m0 == "stationary" else None
     m0 = m_inf if args.m0 == "stationary" else _initial_covariance(spec, args.m0)
     L = spec.mode_count
 

@@ -12,20 +12,22 @@ arithmetic; ``propagate_series`` steps one flow on an even grid, and
 ``propagate`` is its single-step case.
 
 The stationary state is unique exactly when span{T_S^k Theta} is the whole
-space (the Kalman-type criterion).  Since T_S is Hermitian, ``_uncontrolled``
-decides it in the eigenbasis of T_S (the PBH test): one ``eigh``, and per
-cluster of near-equal eigenvalues one SVD of the cluster's overlap with
-Theta, whose null vectors span that cluster's part of the uncontrolled
-subspace V_u.  The Kalman rank is n - dim V_u, and the same V_u decides
-convergence.  On V_u the drift is the antisymmetric A, so the flow rotates
-it exactly.  Gauge-invariant L x L data keeps its own ergodicity test and
-block propagation, and reads its stationary state off the lifted solve.
+space (the Kalman-type criterion), which holds exactly when the drift is
+Hurwitz.  Each spec computes one Schur form of its drift, lazily, and every
+answer reads it: the eigenvalues with real part at least ``HURWITZ_TOL`` are
+reordered to lead, their count k is n minus the Kalman rank, their leading
+k x k block decides convergence, the whole form feeds the stationary solve,
+and its leading columns span the uncontrolled subspace V_u on which the flow
+rotates exactly.  Gauge-invariant L x L data decides on the complex Schur
+form of its own drift, propagates by blocks, and reads its stationary state
+off the lifted solve.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -63,10 +65,6 @@ RESIDUAL_TOL = 1e-10
 PIN_TOL = 1e-7
 #: Drift spectral abscissa below this value counts as Hurwitz.
 HURWITZ_TOL = -1e-12
-#: Eigenvalues of T_S closer than this are treated as one degenerate cluster.  A
-#: dark mode split off by a gap g decays at a rate of about g^2, so the gap is
-#: sqrt(-HURWITZ_TOL): a pair the clustering merges leaves a drift that is not Hurwitz.
-CLUSTER_GAP = float(np.sqrt(-HURWITZ_TOL))
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,6 +85,10 @@ class SemigroupSpec:
     def bath_modes(self) -> int:
         return self.theta.bath_modes
 
+    @cached_property
+    def _schur(self) -> tuple:
+        return _near_axis(self.drift.real)
+
 
 @dataclass(frozen=True, eq=False)
 class GaugeInvariantSpec:
@@ -105,6 +107,10 @@ class GaugeInvariantSpec:
     @property
     def bath_modes(self) -> int:
         return self.theta0.shape[1]
+
+    @cached_property
+    def _schur(self) -> tuple:
+        return _near_axis(self.drift0)
 
 
 @dataclass(frozen=True)
@@ -174,69 +180,62 @@ def lift_gauge_invariant(gi: GaugeInvariantSpec) -> SemigroupSpec:
     )
 
 
-def _uncontrolled(t: np.ndarray, theta: np.ndarray, majorana: bool = False) -> tuple:
-    """Kalman rank, convergence, an offending eigenvalue and V_u from one ``eigh`` of t.
+def _schur_eigenvalues(s: np.ndarray) -> np.ndarray:
+    """Eigenvalues on the diagonal of a Schur form, in order.
 
-    Eigenvalues of the Hermitian t closer than ``CLUSTER_GAP`` form a cluster.
-    For a cluster with eigenvectors V, the right singular vectors of Theta* V
-    whose singular values do not exceed
-    64 max(shape) eps max|Theta| max(1, |t|_2 / sep) span the cluster's part of
-    the uncontrolled subspace V_u; sep, the cluster's distance to the rest of
-    the spectrum, bounds the rounding error of V (Davis-Kahan).  Returns
-    n - dim V_u; whether t acts on V_u as one multiple of the identity within
-    TAU_NUM |t|, so that every state converges; and the mean eigenvalue of the
-    first uncontrolled cluster; and orthonormal columns spanning V_u.  A
-    Majorana spectrum is symmetric about 0, and with ``majorana`` it is
-    symmetrized so that the clusters at +-lambda pair.
+    A 2 x 2 block of a real form is in LAPACK's standard form [[a, b], [c, a]]
+    with b c < 0, whose eigenvalues are a +- i sqrt(-b c).  So the diagonal
+    of either form holds the real parts.
     """
-    w, v = scipy.linalg.eigh(t)
-    if majorana:
-        w = (w - w[::-1]) / 2
-    n = len(w)
-    t_norm = float(np.abs(w).max(initial=0.0))
-    base = 64 * np.finfo(float).eps * max(_max_abs(theta), 1e-300)
-    overlap = theta.conj().T @ v
-    edges = [0, *(np.flatnonzero(np.diff(w) > CLUSTER_GAP) + 1), n]
-    on_vu = []  # eigenvalues of t restricted to each cluster's part of V_u
-    v_u = [v[:, :0]]
-    offending = None
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        sep = min(w[lo] - w[lo - 1] if lo else np.inf, w[hi] - w[hi - 1] if hi < n else np.inf)
-        block = overlap[:, lo:hi]
-        _, s, vh = np.linalg.svd(block)
-        thresh = base * max(block.shape) * max(1.0, t_norm / sep)
-        null = vh[int(np.sum(s > thresh)) :].conj().T
-        if null.shape[1]:
-            lam = np.linalg.eigvalsh(null.conj().T @ (w[lo:hi, None] * null))
-            offending = complex(lam.mean()) if offending is None else offending
-            on_vu.append(lam)
-            v_u.append(v[:, lo:hi] @ null)
-    lam = np.concatenate(on_vu) if on_vu else np.zeros(0)
-    converges = lam.size == 0 or float(np.ptp(lam)) <= TAU_NUM * _scale(t)
-    return n - lam.size, converges, offending, np.hstack(v_u)
+    lam = s.diagonal().astype(complex)
+    j = np.flatnonzero(s.diagonal(-1))
+    im = np.sqrt(np.abs(s[j, j + 1] * s[j + 1, j]))
+    lam[j] += 1j * im
+    lam[j + 1] -= 1j * im
+    return lam
 
 
-def _ergodicity_core(t: np.ndarray, theta: np.ndarray, drift: np.ndarray, majorana: bool) -> ErgodicityReport:
-    rank, converges, offending, _ = _uncontrolled(t, theta, majorana)
-    unique = rank == t.shape[0]
+def _near_axis(g: np.ndarray) -> tuple:
+    """(S, Z, k) of one Schur form G = Z S Z*, real for a real G.
+
+    k counts the eigenvalues with real part at least ``HURWITZ_TOL``, read
+    off the diagonal of S.  Only when there are any is the form computed
+    again, with those eigenvalues sorted to lead, so that the first k columns
+    of Z span the near-axis invariant subspace.
+    """
+    s, z = scipy.linalg.schur(g)
+    if np.all(s.diagonal().real < HURWITZ_TOL):
+        return s, z, 0
+    return scipy.linalg.schur(g, sort=lambda x, y=None: np.real(x) >= HURWITZ_TOL)
+
+
+def _ergodicity_core(t: np.ndarray, near_axis: tuple) -> ErgodicityReport:
+    """The report read off a drift's sorted Schur form.
+
+    On V_u the drift is -i T, so its k leading eigenvalues are -i mu for the
+    eigenvalues mu of T there; every state converges when those agree within
+    TAU_NUM |T|.
+    """
+    s, _, k = near_axis
+    lam = _schur_eigenvalues(s[:k, :k])
     return ErgodicityReport(
-        kalman_rank=rank,
-        kalman_full=unique,
-        unique_stationary=unique,
-        converges=converges,
-        spectral_abscissa=float(np.linalg.eigvals(drift).real.max()),
-        offending_eigenvalue=offending,
+        kalman_rank=len(s) - k,
+        kalman_full=k == 0,
+        unique_stationary=k == 0,
+        converges=k == 0 or float(np.ptp(lam.imag)) <= TAU_NUM * _scale(t),
+        spectral_abscissa=float(s.diagonal().real.max()),
+        offending_eigenvalue=complex(1j * lam[0]) if k else None,
     )
 
 
 def ergodicity(spec: SemigroupSpec) -> ErgodicityReport:
     """Uniqueness/convergence criteria for the full 2L-dimensional semigroup."""
-    return _ergodicity_core(spec.t_s.entries, spec.theta.entries, spec.drift.real, majorana=True)
+    return _ergodicity_core(spec.t_s.entries, spec._schur)
 
 
 def ergodicity_gauge_invariant(spec: GaugeInvariantSpec) -> ErgodicityReport:
     """Criteria evaluated on the L x L gauge-invariant data only."""
-    return _ergodicity_core(spec.t_s0, spec.theta0, spec.drift0, majorana=False)
+    return _ergodicity_core(spec.t_s0, spec._schur)
 
 
 def _checked(check, *args):
@@ -253,21 +252,21 @@ def _checked(check, *args):
 
 
 def _stationary_given(spec: SemigroupSpec, report: ErgodicityReport, n: int = 0) -> CovarianceMatrix:
-    """``stationary`` given the spec's ergodicity report, whose rank counts n (2L by default) dimensions.
+    """``stationary`` given an ergodicity report whose rank counts n (2L by default) dimensions.
 
-    Solves G R + R G^T = -Y by Bartels-Stewart on one real Schur form of G,
-    then takes one step of iterative refinement with the same form.  Raises
-    NumericalFailure when the report says unique but the drift is not
-    Hurwitz, or when i (G R + R G^T + Y), the full residual, exceeds
-    ``RESIDUAL_TOL`` |P|.
+    Solves G R + R G^T = -Y by Bartels-Stewart on the spec's real Schur form
+    of G, then takes one step of iterative refinement with the same form.
+    Raises NonUniqueStationary when the report says not unique, naming the
+    drift's spectral abscissa against ``HURWITZ_TOL`` when it is negative
+    (the slowest mode decays, only too slowly to count), and NumericalFailure
+    when i (G R + R G^T + Y), the full residual, exceeds ``RESIDUAL_TOL`` |P|.
     """
     if not report.unique_stationary:
-        raise NonUniqueStationary(f"controllability rank {report.kalman_rank} < {n or 2 * spec.mode_count}")
-    if not report.spectral_abscissa < HURWITZ_TOL:
         a = report.spectral_abscissa
-        raise NumericalFailure(f"unique, but drift spectral abscissa {a:.3e} >= HURWITZ_TOL = {HURWITZ_TOL:.0e}")
+        why = f"drift spectral abscissa {a:.3e} >= HURWITZ_TOL = {HURWITZ_TOL:.0e}: " if a < 0 else ""
+        raise NonUniqueStationary(f"{why}controllability rank {report.kalman_rank} < {n or 2 * spec.mode_count}")
+    s, z, _ = spec._schur
     g, y = spec.drift.real, spec.pump.imag
-    s, z = scipy.linalg.schur(g, output="real")
     r = np.zeros_like(g)
     for _ in range(2):  # the solve, then one step of iterative refinement
         c = z.T @ (g @ r + r @ g.T + y) @ z
@@ -285,9 +284,10 @@ def stationary(spec: SemigroupSpec) -> CovarianceMatrix:
 
     Raises NonUniqueStationary when the uniqueness criterion fails; that is a
     property of the model, not a numerical defect.  A solution that fails
-    its checks raises NumericalFailure.
+    its checks raises NumericalFailure.  The verdict is read off the spec's
+    Schur form, as in ``ergodicity``.
     """
-    return _stationary_given(spec, ergodicity(spec))
+    return _stationary_given(spec, _ergodicity_core(spec.t_s.entries, spec._schur))
 
 
 def stationary_gauge_invariant(spec: GaugeInvariantSpec) -> SmallCovarianceMatrix:
@@ -321,24 +321,21 @@ def _affine_flow(drift: np.ndarray, pump: np.ndarray, t: float) -> tuple[np.ndar
 def _majorana_flow(spec: SemigroupSpec, t: float) -> tuple[np.ndarray, np.ndarray]:
     """Real (E, Q) with R(t) = E R(0) E^T + Q for dR/dt = G R + R G^T + Y.
 
-    A Hurwitz drift has no V_u.  Otherwise V_u, being closed under
-    conjugation, has a real orthonormal basis U_u; G keeps V_u and its
-    complement V_c, acts on V_u as the antisymmetric A_u, and Y vanishes
-    there.  So V_u gets the exact rotation e^(t A_u) from one ``eigh``, with
-    eigenvalues within rounding of zero set to zero so that a dark mode stays
-    put at any t, and only V_c goes through ``_affine_flow``.  Written as
+    A Hurwitz drift has no V_u.  Otherwise the spec's sorted real Schur form
+    G = Z S Z^T gives the orthonormal bases U_u = Z[:, :k] of V_u and
+    U_c = Z[:, k:] of its complement V_c.  G keeps both, acts on V_u as the
+    antisymmetric A_u = S[:k, :k], and Y vanishes there.  So V_u gets the
+    exact rotation e^(t A_u) from one ``eigh``, with eigenvalues within
+    rounding of zero set to zero so that a dark mode stays put at any t, and
+    only V_c goes through ``_affine_flow``.  Written as
     E = I + U (e^(tG) - I) U^T, E is exactly I at t = 0.
     """
     g, y = spec.drift.real, spec.pump.imag
-    hurwitz = np.linalg.eigvals(g).real.max() < HURWITZ_TOL
-    v_u = g[:, :0] if hurwitz else _uncontrolled(spec.t_s.entries, spec.theta.entries, majorana=True)[3]
-    k = v_u.shape[1]
+    s, z, k = spec._schur
     if k == 0:
         return _affine_flow(g, y, t)
-    basis = np.linalg.svd(np.hstack([v_u.real, v_u.imag]))[0]
-    u_u, u_c = basis[:, :k], basis[:, k:]
-    e_c, q_c = _affine_flow(u_c.T @ g @ u_c, u_c.T @ y @ u_c, t)
-    a_u = u_u.T @ g @ u_u
+    u_u, u_c, a_u = z[:, :k], z[:, k:], s[:k, :k]
+    e_c, q_c = _affine_flow(s[k:, k:], u_c.T @ y @ u_c, t)
     w, v = scipy.linalg.eigh(0.5j * (a_u - a_u.T))  # i A_u, Hermitian
     w[np.abs(w) <= 64 * len(g) * np.finfo(float).eps * _max_abs(g)] = 0.0
     rotation = ((v * np.expm1(-1j * t * w)) @ v.conj().T).real  # e^(t A_u) - I
@@ -417,19 +414,21 @@ def real_case_kalman(c_t, c_theta) -> bool:
 
     For T = [[0, i C_T], [-i C_T^T, 0]] and Theta = [[0, i C_Th], [-i C_Th, 0]]
     (real C_T, C_Th), the 2L-dimensional criterion splits into two L-dimensional
-    span conditions: the Krylov space of C C^T on [C_Th, C C_Th] is the whole
-    space, for C = C_T and C = C_T^T.  Each is decided in the eigenbasis of
-    the symmetric C C^T by the same test as ``ergodicity``.
+    span conditions: the Krylov space of m m^T on C = [C_Th, m C_Th] is the
+    whole space, for m = C_T and m = C_T^T.  Each holds exactly when
+    -i m m^T - 1/2 C C^T is Hurwitz, decided on its Schur form as in
+    ``ergodicity``, with m scaled to |m|_2 = 1 and C to |C|_2 = 1.
     """
     a = np.asarray(c_t, dtype=float)
     b = np.asarray(c_theta, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or b.ndim != 2 or b.shape[0] != a.shape[0]:
         raise StructureViolation(f"incompatible shapes {a.shape}, {b.shape}")
-    norm = np.linalg.norm(a, 2)
-    a_hat = a / norm if norm > 0 else a
+    a_hat = a / (np.linalg.norm(a, 2) or 1.0)
 
     def spans(m: np.ndarray) -> bool:
-        return _uncontrolled(m @ m.T, np.hstack([b, m @ b]))[0] == a.shape[0]
+        c = np.hstack([b, m @ b])
+        c = c / (np.linalg.norm(c, 2) or 1.0)
+        return _near_axis(-1j * (m @ m.T) - 0.5 * c @ c.T)[2] == 0
 
     return spans(a_hat) and spans(a_hat.T)
 

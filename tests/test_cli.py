@@ -666,13 +666,13 @@ class TestComputedResultFailures:
     failed it; exit 1 is kept for malformed input."""
 
     def test_stiff_stationary_exits_two(self, tmp_path):
-        # at theta = 1e7 the one-end chain's slowest decay rate is below |HURWITZ_TOL|, although
-        # its uniqueness verdict holds: the solve refuses and names the abscissa
+        # at theta = 1e7 the one-end chain's slowest decay rate is below |HURWITZ_TOL|, so the
+        # drift is not Hurwitz and the model counts as not unique: the refusal names the abscissa
         code, out, _ = run_cli("model", "build", "one-end-chain", "--set", "theta=1e7", "--set", "m_b0=0.3")
         path = write_model(tmp_path, json.loads(out))
         code, _, err = run_cli("stationary", path)
         assert code == 2
-        assert err.startswith("error: NumericalFailure: ") and err.count("\n") == 1
+        assert err.startswith("error: NonUniqueStationary: ") and err.count("\n") == 1
         assert "spectral abscissa" in err and "HURWITZ_TOL" in err
 
     def test_overflowing_input_gives_one_error_line(self):

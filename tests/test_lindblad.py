@@ -3,6 +3,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from fermicov import (
     BasisTag,
@@ -11,7 +12,6 @@ from fermicov import (
     CovarianceMatrix,
     HamiltonianMatrix,
     NonUniqueStationary,
-    NumericalFailure,
     SmallCovarianceMatrix,
     convert_basis,
     ergodicity,
@@ -38,8 +38,10 @@ from fermicov import (
     validate_small_covariance,
 )
 import fermicov.lindblad as lindblad
-from fermicov.lindblad import CLUSTER_GAP, HURWITZ_TOL
+from fermicov import cli
+from fermicov.lindblad import HURWITZ_TOL
 from fermicov.models import ChainParams, XYParams, chain_hamiltonian, xy_chain
+from fermicov.phase import TAU_NUM, _max_abs, _scale
 
 from conftest import random_coupling, random_covariance, random_qf, random_semigroup
 
@@ -220,7 +222,8 @@ class TestStationary:
     @pytest.mark.parametrize("theta", [1e3, 1e4, 1e5, 1e6, 1e7, 1e8])
     def test_stiff_one_end_chain_is_right_or_fails(self, theta):
         # the slowest decay rate falls like 1/theta^2 and meets HURWITZ_TOL near theta = 1e6;
-        # below that the answer is the bath occupation, beyond it a NumericalFailure
+        # below that the answer is the bath occupation, beyond it the drift is not Hurwitz,
+        # so the model counts as not unique and the refusal names the abscissa
         gi = one_end_chain(3, theta, 0.3)
         for solve in (
             lambda: convert_basis(stationary(lift_gauge_invariant(gi)), CA).entries[:3, :3],
@@ -228,8 +231,8 @@ class TestStationary:
         ):
             try:
                 small = solve()
-            except NumericalFailure as exc:
-                assert theta >= 1e6 and "spectral abscissa" in str(exc)
+            except NonUniqueStationary as exc:
+                assert theta >= 1e6 and "spectral abscissa" in str(exc) and "HURWITZ_TOL" in str(exc)
                 continue
             assert np.abs(small - 0.3 * np.eye(3)).max() < (1e-10 if theta <= 1e5 else 1e-9)
 
@@ -426,6 +429,80 @@ class TestRandomMajoranaModels:
             stationary(_random_majorana_model(rng, L, project=False))
 
 
+#: Eigenvalues of T_S closer than this are treated as one degenerate cluster.  A
+#: dark mode split off by a gap g decays at a rate of about g^2, so the gap is
+#: sqrt(-HURWITZ_TOL): a pair the clustering merges leaves a drift that is not Hurwitz.
+CLUSTER_GAP = float(np.sqrt(-HURWITZ_TOL))
+
+
+def _uncontrolled(t: np.ndarray, theta: np.ndarray, majorana: bool = False) -> tuple:
+    """Kalman rank, convergence, an offending eigenvalue and V_u from one ``eigh`` of t.
+
+    Eigenvalues of the Hermitian t closer than ``CLUSTER_GAP`` form a cluster.
+    For a cluster with eigenvectors V, the right singular vectors of Theta* V
+    whose singular values do not exceed
+    64 max(shape) eps max|Theta| max(1, |t|_2 / sep) span the cluster's part of
+    the uncontrolled subspace V_u; sep, the cluster's distance to the rest of
+    the spectrum, bounds the rounding error of V (Davis-Kahan).  Returns
+    n - dim V_u; whether t acts on V_u as one multiple of the identity within
+    TAU_NUM |t|, so that every state converges; and the mean eigenvalue of the
+    first uncontrolled cluster; and orthonormal columns spanning V_u.  A
+    Majorana spectrum is symmetric about 0, and with ``majorana`` it is
+    symmetrized so that the clusters at +-lambda pair.
+    """
+    w, v = scipy.linalg.eigh(t)
+    if majorana:
+        w = (w - w[::-1]) / 2
+    n = len(w)
+    t_norm = float(np.abs(w).max(initial=0.0))
+    base = 64 * np.finfo(float).eps * max(_max_abs(theta), 1e-300)
+    overlap = theta.conj().T @ v
+    edges = [0, *(np.flatnonzero(np.diff(w) > CLUSTER_GAP) + 1), n]
+    on_vu = []  # eigenvalues of t restricted to each cluster's part of V_u
+    v_u = [v[:, :0]]
+    offending = None
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        sep = min(w[lo] - w[lo - 1] if lo else np.inf, w[hi] - w[hi - 1] if hi < n else np.inf)
+        block = overlap[:, lo:hi]
+        _, s, vh = np.linalg.svd(block)
+        thresh = base * max(block.shape) * max(1.0, t_norm / sep)
+        null = vh[int(np.sum(s > thresh)) :].conj().T
+        if null.shape[1]:
+            lam = np.linalg.eigvalsh(null.conj().T @ (w[lo:hi, None] * null))
+            offending = complex(lam.mean()) if offending is None else offending
+            on_vu.append(lam)
+            v_u.append(v[:, lo:hi] @ null)
+    lam = np.concatenate(on_vu) if on_vu else np.zeros(0)
+    converges = lam.size == 0 or float(np.ptp(lam)) <= TAU_NUM * _scale(t)
+    return n - lam.size, converges, offending, np.hstack(v_u)
+
+
+class TestPBHReference:
+    """``_uncontrolled`` above is the eigenvector (Hautus, PBH) form of the Kalman
+    test: an independent reference for the library's Schur count."""
+
+    @pytest.mark.parametrize("L, draws", [(4, 10), (8, 10), (20, 6), (40, 3), (80, 2), (160, 1)])
+    @pytest.mark.parametrize("project", [True, False])
+    def test_random_models(self, L, draws, project):
+        rng = np.random.default_rng(L + 1000 * project)
+        for _ in range(draws):
+            spec = _random_majorana_model(rng, L, project)
+            rank, converges, offending, _ = _uncontrolled(spec.t_s.entries, spec.theta.entries, majorana=True)
+            report = ergodicity(spec)
+            assert report.kalman_rank == rank == 2 * L - 2 * project
+            assert report.converges == converges == (not project)
+            if project:  # V_u is the eigenvalue pair +-mu of T, and either one may come first
+                assert abs(abs(report.offending_eigenvalue) - abs(offending)) < 1e-10
+
+    @pytest.mark.parametrize("length", [None, 16])
+    @pytest.mark.parametrize("name", sorted(cli.PRESETS))
+    def test_presets(self, name, length):
+        spec = cli.build_preset_spec(name, {} if length is None else {"length": length})
+        rank, converges, _, _ = _uncontrolled(spec.t_s.entries, spec.theta.entries, majorana=True)
+        report = ergodicity(spec)
+        assert (report.kalman_rank, report.converges) == (rank, converges)
+
+
 def _gap_model(rng, L, gap):
     """Gauge-invariant model whose two lowest eigenvalues of T0 are ``gap`` apart.
 
@@ -447,12 +524,27 @@ class TestUniquenessBoundary:
         reduced = ergodicity_gauge_invariant(gi)
         lifted = ergodicity(lift_gauge_invariant(gi))
         hurwitz = lifted.spectral_abscissa < HURWITZ_TOL
-        assert reduced.unique_stationary == lifted.unique_stationary == hurwitz == (gap > CLUSTER_GAP)
+        assert reduced.unique_stationary == lifted.unique_stationary == hurwitz == (gap > 1e-6)
         assert lifted.kalman_rank == 2 * reduced.kalman_rank
 
     @pytest.mark.parametrize("L", [2, 4, 8])
+    def test_every_verdict_is_the_abscissa_against_hurwitz_tol(self, L):
+        # the band around gap 1e-6, where the dark mode's decay rate crosses |HURWITZ_TOL|
+        gaps = [*np.geomspace(1e-12, 2e-6, 40), 9e-7, 1.0e-6, 1.1e-6, 1.2e-6, 1.3e-6]
+        for gap in gaps:
+            gi = _gap_model(np.random.default_rng(L), L, gap)
+            reduced = ergodicity_gauge_invariant(gi)
+            lifted = ergodicity(lift_gauge_invariant(gi))
+            for report in (reduced, lifted):
+                assert report.unique_stationary == (report.spectral_abscissa < HURWITZ_TOL)
+                assert report.kalman_full == report.unique_stationary
+            assert lifted.kalman_rank % 2 == 0
+            if (reduced.spectral_abscissa < HURWITZ_TOL) == (lifted.spectral_abscissa < HURWITZ_TOL):
+                assert reduced.unique_stationary == lifted.unique_stationary
+
+    @pytest.mark.parametrize("L", [2, 4, 8])
     def test_at_the_cluster_gap(self, L):
-        gi = _gap_model(np.random.default_rng(L), L, CLUSTER_GAP)
+        gi = _gap_model(np.random.default_rng(L), L, 1e-6)
         for report in (ergodicity_gauge_invariant(gi), ergodicity(lift_gauge_invariant(gi))):
             assert report.kalman_full == report.unique_stationary
         assert report.kalman_rank % 2 == 0
@@ -619,6 +711,23 @@ class TestRealCaseKalman:
         spec = make_semigroup(t, theta, random_covariance(rng, K))
         assert real_case_kalman(c_t, c_th) == ergodicity(spec).unique_stationary
 
+    @pytest.mark.parametrize("case", ["xy", "ising", *range(10)])
+    def test_verdict_does_not_depend_on_scale(self, case):
+        if case == "xy":
+            c_t, c_th = self._xy_blocks(4, 0.5, 0.0, 1.0, 1.0)
+        elif case == "ising":
+            c_t, c_th = self._xy_blocks(4, 1.0, 0.0, 1.0, 1.0)
+        else:  # the inputs of test_agrees_with_assembled_spec
+            rng = np.random.default_rng(200 + case)
+            c_t, c_th = rng.standard_normal((3, 3)), rng.standard_normal((3, 2))
+            if case % 3 == 0:
+                c_th[:, 1] = 0.0
+                c_th[1:, 0] = 0.0
+        verdict = real_case_kalman(c_t, c_th)
+        for s in (1e-8, 1.0, 1e8):
+            for s_th in (1e-8, 1.0, 1e8):
+                assert real_case_kalman(s * c_t, s_th * c_th) == verdict
+
     def test_xy_chain_at_length_80(self):
         c_t, c_th = self._xy_blocks(80, 0.4, 0.25, 1.0, 1.0)
         spec = xy_chain(XYParams(80, 0.4, 0.25, 1.0, 1.0, 0.7, 0.3))
@@ -735,3 +844,46 @@ class TestValidateOnce:
         validate_calls.clear()
         make_semigroup(t_s, theta, m_b)
         assert validate_calls == {}
+
+
+class TestOneSchurForm:
+    """Every answer about a spec reads one Schur form of its drift."""
+
+    @pytest.fixture
+    def decompositions(self, monkeypatch):
+        calls = []
+        for module in (np.linalg, scipy.linalg):
+            for name in ("schur", "eigvals", "eig", "eigh", "svd"):
+                if hasattr(module, name):
+
+                    def counted(a, *args, _original=getattr(module, name), _name=name, **kwargs):
+                        calls.append((_name, np.shape(a)))
+                        return _original(a, *args, **kwargs)
+
+                    monkeypatch.setattr(module, name, counted)
+        return calls
+
+    @staticmethod
+    def _answer_everything(spec, m0):
+        ergodicity(spec)
+        try:
+            stationary(spec)
+        except NonUniqueStationary:
+            pass
+        list(propagate_series(spec, m0, 0.1, 3))
+
+    @pytest.mark.parametrize("name", ["two-bath-chain", "thermalization", "xy"])
+    def test_hurwitz_preset_makes_one_schur_form(self, decompositions, name):
+        spec = cli.build_preset_spec(name, {})
+        m0 = validate_covariance(0.5 * np.eye(2 * spec.mode_count), MAJ)
+        decompositions.clear()
+        self._answer_everything(spec, m0)
+        assert decompositions == [("schur", spec.drift.shape)]
+
+    def test_star_sorts_once_and_rotates_its_uncontrolled_block(self, decompositions):
+        spec = cli.build_preset_spec("star", {})
+        m0 = validate_covariance(0.5 * np.eye(2 * spec.mode_count), MAJ)
+        decompositions.clear()
+        self._answer_everything(spec, m0)
+        k = 2 * spec.mode_count - ergodicity(spec).kalman_rank
+        assert decompositions == [("schur", spec.drift.shape)] * 2 + [("eigh", (k, k))]
