@@ -14,11 +14,12 @@ arithmetic; ``propagate_series`` steps one flow on an even grid, and
 The stationary state is unique exactly when span{T_S^k Theta} is the whole
 space (the Kalman-type criterion), which holds exactly when the drift is
 Hurwitz.  Each spec computes one Schur form of its drift, lazily, and every
-answer reads it: the eigenvalues with real part at least ``HURWITZ_TOL`` are
-reordered to lead, their count k is n minus the Kalman rank, their leading
-k x k block decides convergence, the whole form feeds the stationary solve,
-and its leading columns span the uncontrolled subspace V_u on which the flow
-rotates exactly.  Gauge-invariant L x L data decides on the complex Schur
+answer reads it: the eigenvalues with real part at least ``HURWITZ_TOL``, or
+within rounding of 0, are reordered to lead, their count k is n minus the
+Kalman rank, their leading k x k block decides convergence, the whole form
+feeds the stationary solve, and its leading columns span the near-axis
+subspace V_u, which the flow rotates exactly when it is dark.
+Gauge-invariant L x L data decides on the complex Schur
 form of its own drift, propagates by blocks, and reads its stationary state
 off the lifted solve.
 """
@@ -198,15 +199,22 @@ def _schur_eigenvalues(s: np.ndarray) -> np.ndarray:
 def _near_axis(g: np.ndarray) -> tuple:
     """(S, Z, k) of one Schur form G = Z S Z*, real for a real G.
 
-    k counts the eigenvalues with real part at least ``HURWITZ_TOL``, read
-    off the diagonal of S.  Only when there are any is the form computed
-    again, with those eigenvalues sorted to lead, so that the first k columns
-    of Z span the near-axis invariant subspace.
+    k counts the eigenvalues whose real part is at least HURWITZ_TOL or
+    within its rounding of 0: the j-th real part, z_j* G z_j, moves by up to
+    eps |z_j|^T |G| |z_j| when each entry of G moves by a relative eps.  Only
+    when k > 0 is the form computed again, with those eigenvalues sorted to
+    lead (cutting halfway to the next real part, clear of the reordering's
+    rounding), so that the first k columns of Z span their invariant subspace.
     """
     s, z = scipy.linalg.schur(g)
-    if np.all(s.diagonal().real < HURWITZ_TOL):
+    re = s.diagonal().real
+    rounding = np.finfo(float).eps * np.einsum("ij,ij->j", np.abs(z), np.abs(g) @ np.abs(z))
+    near = re >= np.minimum(HURWITZ_TOL, -rounding)
+    if not near.any():
         return s, z, 0
-    return scipy.linalg.schur(g, sort=lambda x, y=None: np.real(x) >= HURWITZ_TOL)
+    low = re[near].min()
+    cut = (low + re[re < low].max(initial=-np.inf)) / 2
+    return scipy.linalg.schur(g, sort=lambda x, y=None: np.real(x) >= cut)
 
 
 def _ergodicity_core(t: np.ndarray, near_axis: tuple) -> ErgodicityReport:
@@ -257,14 +265,14 @@ def _stationary_given(spec: SemigroupSpec, report: ErgodicityReport, n: int = 0)
     Solves G R + R G^T = -Y by Bartels-Stewart on the spec's real Schur form
     of G, then takes one step of iterative refinement with the same form.
     Raises NonUniqueStationary when the report says not unique, naming the
-    drift's spectral abscissa against ``HURWITZ_TOL`` when it is negative
-    (the slowest mode decays, only too slowly to count), and NumericalFailure
+    drift's spectral abscissa against ``HURWITZ_TOL``, and NumericalFailure
     when i (G R + R G^T + Y), the full residual, exceeds ``RESIDUAL_TOL`` |P|.
     """
     if not report.unique_stationary:
-        a = report.spectral_abscissa
-        why = f"drift spectral abscissa {a:.3e} >= HURWITZ_TOL = {HURWITZ_TOL:.0e}: " if a < 0 else ""
-        raise NonUniqueStationary(f"{why}controllability rank {report.kalman_rank} < {n or 2 * spec.mode_count}")
+        raise NonUniqueStationary(
+            f"drift spectral abscissa {report.spectral_abscissa:.3e} >= min(HURWITZ_TOL = {HURWITZ_TOL:.0e},"
+            f" -rounding): controllability rank {report.kalman_rank} < {n or 2 * spec.mode_count}"
+        )
     s, z, _ = spec._schur
     g, y = spec.drift.real, spec.pump.imag
     r = np.zeros_like(g)
@@ -284,10 +292,9 @@ def stationary(spec: SemigroupSpec) -> CovarianceMatrix:
 
     Raises NonUniqueStationary when the uniqueness criterion fails; that is a
     property of the model, not a numerical defect.  A solution that fails
-    its checks raises NumericalFailure.  The verdict is read off the spec's
-    Schur form, as in ``ergodicity``.
+    its checks raises NumericalFailure.
     """
-    return _stationary_given(spec, _ergodicity_core(spec.t_s.entries, spec._schur))
+    return _stationary_given(spec, ergodicity(spec))
 
 
 def stationary_gauge_invariant(spec: GaugeInvariantSpec) -> SmallCovarianceMatrix:
@@ -321,23 +328,25 @@ def _affine_flow(drift: np.ndarray, pump: np.ndarray, t: float) -> tuple[np.ndar
 def _majorana_flow(spec: SemigroupSpec, t: float) -> tuple[np.ndarray, np.ndarray]:
     """Real (E, Q) with R(t) = E R(0) E^T + Q for dR/dt = G R + R G^T + Y.
 
-    A Hurwitz drift has no V_u.  Otherwise the spec's sorted real Schur form
-    G = Z S Z^T gives the orthonormal bases U_u = Z[:, :k] of V_u and
-    U_c = Z[:, k:] of its complement V_c.  G keeps both, acts on V_u as the
-    antisymmetric A_u = S[:k, :k], and Y vanishes there.  So V_u gets the
-    exact rotation e^(t A_u) from one ``eigh``, with eigenvalues within
-    rounding of zero set to zero so that a dark mode stays put at any t, and
-    only V_c goes through ``_affine_flow``.  Written as
-    E = I + U (e^(tG) - I) U^T, E is exactly I at t = 0.
+    The spec's sorted real Schur form G = Z S Z^T splits the space into the
+    near-axis V_u, spanned by U_u = Z[:, :k], and V_c, spanned by U_c = Z[:, k:].
+    When V_u is dark (within 64 n eps of |G| and |Y|, G acts on it as the
+    antisymmetric part A_u of S[:k, :k], S[:k, k:] = 0 and U_u^T Y = 0), V_u
+    gets the exact rotation e^(t A_u) from one ``eigh``, with frequencies
+    within rounding of |G - G^T| set to zero so that a dark mode stays put at
+    any t, and only V_c goes through ``_affine_flow``; E = I + U (e^(tG) - I) U^T
+    is exactly I at t = 0.  Otherwise the whole drift goes through ``_affine_flow``.
     """
     g, y = spec.drift.real, spec.pump.imag
     s, z, k = spec._schur
-    if k == 0:
+    rounding = 64 * len(g) * np.finfo(float).eps
+    u_u, u_c, a_u = z[:, :k], z[:, k:], (s[:k, :k] - s[:k, :k].T) / 2
+    left_out = np.hstack([s[:k, :k] - a_u, s[:k, k:]])  # what the split drops from S
+    if k == 0 or _max_abs(left_out) > rounding * _max_abs(g) or _max_abs(u_u.T @ y) > rounding * _max_abs(y):
         return _affine_flow(g, y, t)
-    u_u, u_c, a_u = z[:, :k], z[:, k:], s[:k, :k]
     e_c, q_c = _affine_flow(s[k:, k:], u_c.T @ y @ u_c, t)
-    w, v = scipy.linalg.eigh(0.5j * (a_u - a_u.T))  # i A_u, Hermitian
-    w[np.abs(w) <= 64 * len(g) * np.finfo(float).eps * _max_abs(g)] = 0.0
+    w, v = scipy.linalg.eigh(1j * a_u)  # i A_u, Hermitian
+    w[np.abs(w) <= rounding * _max_abs(g - g.T)] = 0.0
     rotation = ((v * np.expm1(-1j * t * w)) @ v.conj().T).real  # e^(t A_u) - I
     e = np.eye(len(g)) + u_c @ (e_c - np.eye(len(e_c))) @ u_c.T + u_u @ rotation @ u_u.T
     return e, u_c @ q_c @ u_c.T

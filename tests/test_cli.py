@@ -162,25 +162,24 @@ class TestStationary:
         assert np.abs(np.array(section["currents"])).max() < 1e-10
 
     @pytest.fixture
-    def ergodicity_calls(self, monkeypatch):
+    def schur_forms(self, monkeypatch):
         import fermicov.lindblad
 
         calls = []
 
-        def counted(spec, _original=fermicov.lindblad.ergodicity):
-            calls.append(spec)
-            return _original(spec)
+        def counted(g, _original=fermicov.lindblad._near_axis):
+            calls.append(g.shape)
+            return _original(g)
 
-        monkeypatch.setattr(fermicov.lindblad, "ergodicity", counted)
-        monkeypatch.setattr(cli, "ergodicity", counted)
+        monkeypatch.setattr(fermicov.lindblad, "_near_axis", counted)
         return calls
 
-    def test_one_ergodicity_report_per_run(self, tmp_path, ergodicity_calls):
+    def test_one_ergodicity_report_per_run(self, tmp_path, schur_forms):
         code, out, _ = run_cli("model", "build", "two-bath-chain")
         path = write_model(tmp_path, json.loads(out))
         code, _, _ = run_cli("stationary", path)
         assert code == 0
-        assert len(ergodicity_calls) == 1
+        assert len(schur_forms) == 1
 
     def test_star_exits_two(self, tmp_path):
         code, out, _ = run_cli("model", "build", "star")
@@ -189,13 +188,16 @@ class TestStationary:
         assert code == 2
         assert "NonUniqueStationary" in err
 
-    def test_star_stationary_start_checks_ergodicity_once(self, tmp_path, ergodicity_calls):
+    def test_star_stationary_start_checks_ergodicity_once(self, tmp_path, schur_forms):
         code, out, _ = run_cli("model", "build", "star")
         path = write_model(tmp_path, json.loads(out))
         code, out, err = run_cli("evolve", path, "--m0", "stationary", "--t-final", "1", "--samples", "2")
         assert (code, out) == (2, "")
-        assert err == "error: NonUniqueStationary: controllability rank 4 < 6\n"
-        assert len(ergodicity_calls) == 1
+        assert err == (
+            "error: NonUniqueStationary: drift spectral abscissa 0.000e+00 >= min(HURWITZ_TOL = -1e-12,"
+            " -rounding): controllability rank 4 < 6\n"
+        )
+        assert len(schur_forms) == 1
 
     def test_full_matrix_flag(self, tmp_path):
         code, out, _ = run_cli("model", "build", "one-end-chain")

@@ -159,6 +159,32 @@ class TestPropagate:
                 for t in np.geomspace(1e6, 1e300, 50):
                     assert np.abs(propagate(spec, m0, t).entries - settled).max() < 1e-12
 
+    @staticmethod
+    def _eigen_flow(spec, m0, t):
+        """R(t) from an eigendecomposition G = V diag(lam) V^-1 of the drift."""
+        g, y = spec.drift.real, spec.pump.imag
+        lam, v = np.linalg.eig(g)
+        vi = np.linalg.inv(v)
+        s = lam[:, None] + lam[None, :]
+        e = (v * np.exp(t * lam)) @ vi
+        r0 = convert_basis(m0, MAJ).entries.imag
+        return (e @ r0 @ e.T + v @ ((vi @ y @ vi.T) * (np.expm1(t * s) / s)) @ v.T).real
+
+    @pytest.mark.parametrize("case", ["gap", "stiff chain"])
+    def test_near_axis_modes_keep_their_decay_pump_and_rotation(self, case):
+        # the gap model's near-axis pair still decays and is pumped, so it is not dark and flows
+        # whole; the stiff chain's slow modes rotate at frequency ~1 although |G| ~ 1e14
+        if case == "gap":
+            gi = _gap_model(np.random.default_rng(2), 2, 1.1e-6)
+        else:
+            gi = one_end_chain(3, 1e7, 0.3)
+        spec = lift_gauge_invariant(gi)
+        assert not ergodicity(spec).unique_stationary
+        m0 = random_covariance(np.random.default_rng(0), spec.mode_count, beta=0.5)
+        for t in (10.0, 1e4):
+            r_t = convert_basis(propagate(spec, m0, t), MAJ).entries.imag
+            assert np.abs(r_t - self._eigen_flow(spec, m0, t)).max() < 1e-10
+
     def test_rejects_negative_time(self):
         rng = np.random.default_rng(2)
         spec = random_semigroup(rng, 2, 1)
@@ -398,15 +424,15 @@ class TestKalmanStaircase:
         assert report.kalman_full == report.unique_stationary
 
 
-def _random_majorana_model(rng, L, project):
-    """T = iA with |A|_2 = 1 and one bath mode, Theta = iW with W of shape 2L x 2.
+def _random_majorana_model(rng, L, project, coupling=1.0):
+    """T = iA with |A|_2 = 1 and one bath mode, Theta = iW with W of shape 2L x 2, scaled by ``coupling``.
 
     With ``project``, W is projected off the conjugate eigenvector pair of the
     largest eigenvalue of T, which leaves that pair uncontrolled: rank 2L - 2.
     """
     a = rng.standard_normal((2 * L, 2 * L))
     a = (a - a.T) / np.linalg.norm(a - a.T, 2)
-    w = rng.standard_normal((2 * L, 2))
+    w = coupling * rng.standard_normal((2 * L, 2))
     if project:
         x = np.linalg.eigh(1j * a)[1][:, -1]
         q = np.linalg.qr(np.column_stack([x.real, x.imag]))[0]
@@ -493,6 +519,29 @@ class TestPBHReference:
             assert report.converges == converges == (not project)
             if project:  # V_u is the eigenvalue pair +-mu of T, and either one may come first
                 assert abs(abs(report.offending_eigenvalue) - abs(offending)) < 1e-10
+
+    @pytest.mark.parametrize("L", [4, 8, 20])
+    def test_dark_pair_under_strong_coupling(self, L):
+        # with |W| ~ 100 the dark pair's real parts round to about 1e-12 on either side of
+        # HURWITZ_TOL; the rounding margin keeps the pair uncontrolled
+        rng = np.random.default_rng(L)
+        for _ in range(8):
+            spec = _random_majorana_model(rng, L, True, coupling=100.0)
+            rank, _, _, _ = _uncontrolled(spec.t_s.entries, spec.theta.entries, majorana=True)
+            assert ergodicity(spec).kalman_rank == rank == 2 * L - 2
+            with pytest.raises(NonUniqueStationary):
+                stationary(spec)
+
+    @pytest.mark.parametrize("theta", [1e2, 1e3, 1e4])
+    def test_star_under_strong_coupling(self, theta):
+        gi = star_model(4, theta, 0.5)
+        spec = lift_gauge_invariant(gi)
+        assert ergodicity_gauge_invariant(gi).kalman_rank == 2
+        assert ergodicity(spec).kalman_rank == 4
+        with pytest.raises(NonUniqueStationary):
+            stationary(spec)
+        with pytest.raises(NonUniqueStationary):
+            stationary_gauge_invariant(gi)
 
     @pytest.mark.parametrize("length", [None, 16])
     @pytest.mark.parametrize("name", sorted(cli.PRESETS))
