@@ -28,7 +28,16 @@ import numpy as np
 import scipy.linalg
 
 from .errors import StructureViolation, TooLarge, UnsupportedIso
-from .phase import BasisTag, HamiltonianMatrix, _convert_entries, block_reduce, convert_basis, validate_qf
+from .phase import (
+    BasisTag,
+    HamiltonianMatrix,
+    _check_hermitian,
+    _convert_entries,
+    _tol,
+    block_reduce,
+    convert_basis,
+    validate_qf,
+)
 from .quasifree import CovarianceMatrix, validate_covariance
 
 #: Largest total mode count realized densely (4096-dimensional matrices).  A cold
@@ -70,13 +79,11 @@ class DenseState:
     def validate(self, tol: float = 1e-10) -> None:
         self.op.validate()
         m = self.op.entries
-        res = float(np.abs(m - m.conj().T).max())
-        if res > tol:
-            raise StructureViolation("state is not Hermitian", res)
+        herm = _check_hermitian(m, "state", tol)
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > tol:
             raise StructureViolation("state trace is not 1", abs(tr - 1.0))
-        eigs = np.linalg.eigvalsh((m + m.conj().T) / 2)
+        eigs = np.linalg.eigvalsh(herm)
         if eigs.min() < -tol:
             raise StructureViolation("state is not positive semidefinite", float(-eigs.min()))
 
@@ -166,11 +173,7 @@ def gibbs_state(h: DenseOperator, beta: float) -> DenseState:
     if not np.isfinite(beta):
         raise StructureViolation("beta must be finite")
     h.validate()
-    m = h.entries
-    res = float(np.abs(m - m.conj().T).max())
-    if res > 1e-9 * max(1.0, float(np.abs(m).max())):
-        raise StructureViolation("Gibbs Hamiltonian must be Hermitian", res)
-    w, v = scipy.linalg.eigh(m)
+    w, v = scipy.linalg.eigh(_check_hermitian(h.entries, "Gibbs Hamiltonian", _tol(h.entries)))
     weights = np.exp(-beta * (w - w.min()))
     rho = (v * weights) @ v.conj().T
     rho /= np.trace(rho).real

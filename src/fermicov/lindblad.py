@@ -19,9 +19,8 @@ within rounding of 0, are reordered to lead, their count k is n minus the
 Kalman rank, their leading k x k block decides convergence, the whole form
 feeds the stationary solve, and its leading columns span the near-axis
 subspace V_u, which the flow rotates exactly when it is dark.
-Gauge-invariant L x L data decides on the complex Schur
-form of its own drift, propagates by blocks, and reads its stationary state
-off the lifted solve.
+Gauge-invariant L x L data decides only its own Kalman verdict, on the
+complex Schur form of its drift; every state is read off the lifted spec.
 """
 
 from __future__ import annotations
@@ -42,13 +41,13 @@ from .phase import (
     HamiltonianMatrix,
     _as_matrix,
     _check_hermitian,
+    _convert_entries,
     _max_abs,
     _scale,
     _tol,
     block_reduce,
     convert_basis,
     expm,
-    validate_coupling,
     validate_qf,
 )
 from .quasifree import (
@@ -99,7 +98,6 @@ class GaugeInvariantSpec:
     theta0: np.ndarray
     m_b0: SmallCovarianceMatrix
     drift0: np.ndarray
-    pump0: np.ndarray
 
     @property
     def mode_count(self) -> int:
@@ -124,14 +122,15 @@ class ErgodicityReport:
     offending_eigenvalue: complex | None
 
 
-def _drift_pump(t: np.ndarray, theta: np.ndarray, m_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Drift G = -i T - 1/2 Theta Theta* and pump P = Theta M_B Theta*."""
-    theta_adj = theta.conj().T
-    return -1j * t - 0.5 * theta @ theta_adj, theta @ m_b @ theta_adj
+def _drift(t: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Drift G = -i T - 1/2 Theta Theta*."""
+    return -1j * t - 0.5 * theta @ theta.conj().T
 
 
 def make_semigroup(t_s: HamiltonianMatrix, theta: CouplingMatrix, m_b: CovarianceMatrix) -> SemigroupSpec:
-    """Assemble and validate a semigroup spec; inputs may carry either basis."""
+    """Assemble a semigroup spec; inputs may carry either basis.
+
+    P = Theta M_B Theta* is PSD because M_B is, so only overflow is checked."""
     if theta.system_modes != t_s.mode_count:
         raise StructureViolation(
             f"coupling system side {theta.system_modes} does not match {t_s.mode_count} modes"
@@ -143,11 +142,10 @@ def make_semigroup(t_s: HamiltonianMatrix, theta: CouplingMatrix, m_b: Covarianc
     t = convert_basis(t_s, BasisTag.MAJORANA)
     th = convert_basis(theta, BasisTag.MAJORANA)
     mb = convert_basis(m_b, BasisTag.MAJORANA)
-    drift, pump = _drift_pump(t.entries, th.entries, mb.entries)
-    tol = _tol(pump)
-    eigs = np.linalg.eigvalsh(_check_hermitian(pump, "pump matrix", tol))
-    if eigs.size and eigs.min() < -tol:
-        raise StructureViolation("pump matrix is not positive semidefinite", float(-eigs.min()))
+    drift = _drift(t.entries, th.entries)
+    pump = th.entries @ mb.entries @ th.entries.conj().T
+    if not (np.all(np.isfinite(drift)) and np.all(np.isfinite(pump))):
+        raise StructureViolation("drift or pump has non-finite entries (the coupling overflowed)")
     return SemigroupSpec(t_s=t, theta=th, m_b=mb, drift=drift, pump=pump)
 
 
@@ -163,20 +161,22 @@ def make_gauge_invariant(t_s0, theta0, m_b0) -> GaugeInvariantSpec:
         raise StructureViolation(
             f"bath covariance size {mb0.mode_count} does not match coupling columns {th0.shape[1]}"
         )
-    drift0, pump0 = _drift_pump(t0, th0, mb0.entries)
-    return GaugeInvariantSpec(t_s0=t0, theta0=th0, m_b0=mb0, drift0=drift0, pump0=pump0)
+    return GaugeInvariantSpec(t_s0=t0, theta0=th0, m_b0=mb0, drift0=_drift(t0, th0))
 
 
 def lift_gauge_invariant(gi: GaugeInvariantSpec) -> SemigroupSpec:
-    """Embed L x L gauge-invariant data into the full 2L-dimensional spec."""
+    """Embed L x L gauge-invariant data into the full 2L-dimensional spec.
+
+    Valid by construction: in the Majorana basis both blocks have real part
+    exactly 0, and the lifted T's Hermiticity residual is T0's, checked already."""
     L, K = gi.mode_count, gi.bath_modes
     zl = np.zeros((L, L))
     zk = np.zeros((L, K))
     t_c = np.block([[gi.t_s0, zl], [zl, -gi.t_s0.conj()]])
     th_c = np.block([[gi.theta0, zk], [zk, -gi.theta0.conj()]])
     return make_semigroup(
-        validate_qf(t_c, BasisTag.CREATION_ANNIHILATION),
-        validate_coupling(th_c, BasisTag.CREATION_ANNIHILATION),
+        HamiltonianMatrix(entries=t_c, basis=BasisTag.CREATION_ANNIHILATION, mode_count=L),
+        CouplingMatrix(entries=th_c, basis=BasisTag.CREATION_ANNIHILATION, system_modes=L, bath_modes=K),
         full_from_small(gi.m_b0),
     )
 
@@ -259,19 +259,20 @@ def _checked(check, *args):
         raise NumericalFailure(str(exc)) from exc
 
 
-def _stationary_given(spec: SemigroupSpec, report: ErgodicityReport, n: int = 0) -> CovarianceMatrix:
-    """``stationary`` given an ergodicity report whose rank counts n (2L by default) dimensions.
+def stationary(spec: SemigroupSpec) -> CovarianceMatrix:
+    """Stationary covariance matrix of an ergodic semigroup (Majorana basis).
 
     Solves G R + R G^T = -Y by Bartels-Stewart on the spec's real Schur form
-    of G, then takes one step of iterative refinement with the same form.
-    Raises NonUniqueStationary when the report says not unique, naming the
-    drift's spectral abscissa against ``HURWITZ_TOL``, and NumericalFailure
-    when i (G R + R G^T + Y), the full residual, exceeds ``RESIDUAL_TOL`` |P|.
+    of G, plus one step of iterative refinement.  Raises NonUniqueStationary,
+    a property of the model naming the abscissa against ``HURWITZ_TOL``, when
+    ``ergodicity`` says not unique, and NumericalFailure when the residual
+    exceeds ``RESIDUAL_TOL`` |P| or the solution fails its checks.
     """
+    report = ergodicity(spec)
     if not report.unique_stationary:
         raise NonUniqueStationary(
             f"drift spectral abscissa {report.spectral_abscissa:.3e} >= min(HURWITZ_TOL = {HURWITZ_TOL:.0e},"
-            f" -rounding): controllability rank {report.kalman_rank} < {n or 2 * spec.mode_count}"
+            f" -rounding): controllability rank {report.kalman_rank} < {2 * spec.mode_count}"
         )
     s, z, _ = spec._schur
     g, y = spec.drift.real, spec.pump.imag
@@ -287,38 +288,27 @@ def _stationary_given(spec: SemigroupSpec, report: ErgodicityReport, n: int = 0)
     return _checked(validate_covariance, 0.5 * np.eye(len(r)) + 1j * r, BasisTag.MAJORANA)
 
 
-def stationary(spec: SemigroupSpec) -> CovarianceMatrix:
-    """Stationary covariance matrix of an ergodic semigroup (Majorana basis).
-
-    Raises NonUniqueStationary when the uniqueness criterion fails; that is a
-    property of the model, not a numerical defect.  A solution that fails
-    its checks raises NumericalFailure.
-    """
-    return _stationary_given(spec, ergodicity(spec))
-
-
 def stationary_gauge_invariant(spec: GaugeInvariantSpec) -> SmallCovarianceMatrix:
-    """Stationary small covariance of an ergodic gauge-invariant semigroup, from the lifted solve."""
-    report = ergodicity_gauge_invariant(spec)
-    return small_from_full(_stationary_given(lift_gauge_invariant(spec), report, spec.mode_count))
+    """The small block of the lifted ``stationary``, whose verdict and rank it reports."""
+    return small_from_full(stationary(lift_gauge_invariant(spec)))
 
 
 def _affine_flow(drift: np.ndarray, pump: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """(E, Q) with M(t) = E M(0) E* + Q for dM/dt = G M + M G* + P.
+    """Real (E, Q) with R(t) = E R(0) E^T + Q for dR/dt = G R + R G^T + Y, G and Y real.
 
-    The Van Loan block exp(h [[G, P], [0, -G*]]) = [[E_h, F], [0, E_h^-*]]
-    gives E_h and Q_h = F E_h* at a step h = t / 2^k with h |G|_1 <= 1, where
-    the growing e^(-h G*) block stays bounded; k doublings
-    (E, Q) <- (E^2, E Q E* + Q) then reach t.  Real data gives a real flow.
+    The Van Loan block exp(h [[G, Y], [0, -G^T]]) = [[E_h, F], [0, E_h^-T]]
+    gives E_h and Q_h = F E_h^T at a step h = t / 2^k with h |G|_1 <= 1, where
+    the growing e^(-h G^T) block stays bounded; k doublings
+    (E, Q) <- (E^2, E Q E^T + Q) then reach t.
     """
     n = drift.shape[0]
     k = max(int(np.frexp(t * np.abs(drift).sum(axis=0).max(initial=0.0))[1]), 0)
-    block = np.block([[drift, pump], [np.zeros_like(drift), -drift.conj().T]])
+    block = np.block([[drift, pump], [np.zeros_like(drift), -drift.T]])
     f = expm((t / 2**k) * block)
     e = f[:n, :n]
-    q = f[:n, n:] @ e.conj().T
+    q = f[:n, n:] @ e.T
     for _ in range(k):
-        q = e @ q @ e.conj().T + q
+        q = e @ q @ e.T + q
         e = e @ e
     if not (np.all(np.isfinite(e)) and np.all(np.isfinite(q))):
         raise NumericalFailure(f"affine flow overflowed within {k} doublings")
@@ -399,12 +389,11 @@ def propagate(spec: SemigroupSpec, m0: CovarianceMatrix, t: float) -> Covariance
 def propagate_gauge_invariant(
     spec: GaugeInvariantSpec, m0: SmallCovarianceMatrix, a0, t: float
 ) -> tuple[SmallCovarianceMatrix, np.ndarray]:
-    """Integrate the reduced block system of a gauge-invariant model.
+    """Small block M0(t) and pairing block A(t), both read off the lifted flow.
 
-    The small covariance block follows the same affine equation with the
-    L x L drift and pump; the pairing block obeys
-    dA/dt = G0 A + A G0^T, so A(t) = E A(0) E^T with the same E = e^(t G0)
-    and decays to 0 whenever the uniqueness criterion holds.
+    M0(t) is the small block of the lifted ``propagate``; A(t) = E0 A(0) E0^T
+    with E0 the top-left creation/annihilation block of the lifted E, so A = 0
+    stays exactly 0 and A decays whenever the uniqueness criterion holds.
     """
     if not (np.isfinite(t) and t >= 0):
         raise ValueError("propagation time must be nonnegative and finite")
@@ -412,10 +401,11 @@ def propagate_gauge_invariant(
     L = spec.mode_count
     if m0.mode_count != L or a_mat.shape != (L, L):
         raise StructureViolation("block sizes do not match the gauge-invariant spec")
-    e, q = _affine_flow(spec.drift0, spec.pump0, float(t))
-    m_t = e @ m0.entries @ e.conj().T + q
-    m_t = (m_t + m_t.conj().T) / 2
-    return _checked(validate_small_covariance, m_t), e @ a_mat @ e.T
+    lifted = lift_gauge_invariant(spec)
+    m_t = small_from_full(propagate(lifted, full_from_small(m0), t))
+    e, _ = _majorana_flow(lifted, float(t))
+    e0 = _convert_entries(e, BasisTag.MAJORANA, BasisTag.CREATION_ANNIHILATION)[:L, :L]
+    return m_t, e0 @ a_mat @ e0.T
 
 
 def real_case_kalman(c_t, c_theta) -> bool:

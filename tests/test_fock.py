@@ -193,7 +193,18 @@ class TestQuadraticHamiltonian:
         assert np.array_equal(quadratic_hamiltonian(t, 0.5).entries, dense)
 
 
+def test_nan_diagonal_is_not_a_state():
+    # a NaN residual fails the Hermiticity check instead of slipping past "res > tol"
+    with pytest.raises(StructureViolation, match="state is not Hermitian"):
+        _state(np.diag([np.nan, 1.0])).validate()
+
+
 class TestGibbsState:
+    def test_rejects_nan_hamiltonian(self):
+        h = DenseOperator(entries=np.diag([np.nan, 0.0]).astype(complex), mode_count=1)
+        with pytest.raises(StructureViolation, match="Gibbs Hamiltonian is not Hermitian"):
+            gibbs_state(h, 1.0)
+
     @pytest.mark.parametrize("beta", [np.inf, -np.inf, np.nan])
     def test_rejects_non_finite_beta(self, beta):
         t = validate_qf(np.diag([1.0, -1.0]).astype(complex), CA)

@@ -13,6 +13,7 @@ from fermicov import (
     HamiltonianMatrix,
     NonUniqueStationary,
     SmallCovarianceMatrix,
+    StructureViolation,
     convert_basis,
     ergodicity,
     ergodicity_gauge_invariant,
@@ -26,6 +27,7 @@ from fermicov import (
     propagate_gauge_invariant,
     propagate_series,
     real_case_kalman,
+    small_from_full,
     star_model,
     stationary,
     stationary_gauge_invariant,
@@ -41,7 +43,7 @@ import fermicov.lindblad as lindblad
 from fermicov import cli
 from fermicov.lindblad import HURWITZ_TOL
 from fermicov.models import ChainParams, XYParams, chain_hamiltonian, xy_chain
-from fermicov.phase import TAU_NUM, _max_abs, _scale
+from fermicov.phase import TAU_NUM, _max_abs, _scale, _tol
 
 from conftest import random_coupling, random_covariance, random_qf, random_semigroup
 
@@ -150,14 +152,24 @@ class TestPropagate:
         assert np.array_equal(propagate(spec, m0, 0.0).entries, m0.entries)
 
     def test_star_stays_on_its_state_up_to_t_1e300(self):
-        # the star's uncontrolled modes rotate exactly; ~1000 doublings of them overflowed
+        # the star's uncontrolled modes rotate exactly; ~1000 doublings of them overflowed.
+        # The gauge-invariant blocks are read off the same lifted flow.
         rng = np.random.default_rng(33)
         for L in (3, 6):
-            spec = lift_gauge_invariant(star_model(L, 1.0, 0.5))
+            gi = star_model(L, 1.0, 0.5)
+            spec = lift_gauge_invariant(gi)
             for m0 in (validate_covariance(0.5 * np.eye(2 * L), MAJ), random_covariance(rng, L, beta=0.5)):
                 settled = propagate(spec, m0, 1e4).entries
                 for t in np.geomspace(1e6, 1e300, 50):
                     assert np.abs(propagate(spec, m0, t).entries - settled).max() < 1e-12
+            m0 = small_from_full(random_covariance(rng, L, beta=0.5))
+            b = 0.05 * rng.standard_normal((L, L))
+            for a0 in (np.zeros((L, L)), b - b.T):  # pyproject turns any overflow warning into a failure
+                m_settled, a_settled = propagate_gauge_invariant(gi, m0, a0, 1e4)
+                for t in np.geomspace(1e6, 1e300, 50):
+                    m_t, a_t = propagate_gauge_invariant(gi, m0, a0, t)
+                    assert np.abs(m_t.entries - m_settled.entries).max() < 1e-12
+                    assert np.abs(a_t - a_settled).max() < 1e-12
 
     @staticmethod
     def _eigen_flow(spec, m0, t):
@@ -242,7 +254,7 @@ class TestStationary:
             stationary(spec)
 
     def test_star_not_unique_gauge_invariant(self):
-        with pytest.raises(NonUniqueStationary, match="rank 2 < 3"):
+        with pytest.raises(NonUniqueStationary, match="rank 4 < 6"):
             stationary_gauge_invariant(star_model(3, 1.0, 0.5))
 
     @pytest.mark.parametrize("theta", [1e3, 1e4, 1e5, 1e6, 1e7, 1e8])
@@ -268,6 +280,33 @@ class TestStationary:
         m = stationary(spec).entries
         res = spec.drift @ m + m @ spec.drift.conj().T + spec.pump
         assert np.abs(res).max() <= 1e-10 * np.abs(spec.pump).max()
+
+
+def _assert_hermitian_psd(p):
+    tol = _tol(p)
+    assert _max_abs(p - p.conj().T) <= tol
+    assert np.linalg.eigvalsh((p + p.conj().T) / 2).min() >= -tol
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_random_pump_is_hermitian_and_psd(seed):
+    # make_semigroup trusts P = Theta M_B Theta* to be PSD because M_B is
+    rng = np.random.default_rng(300 + seed)
+    scale = (0.1, 1.0, 10.0)[seed % 3]
+    _assert_hermitian_psd(random_semigroup(rng, int(rng.integers(1, 7)), int(rng.integers(1, 4)), scale).pump)
+
+
+@pytest.mark.parametrize("name", sorted(cli.PRESETS))
+def test_preset_pump_is_hermitian_and_psd(name):
+    _assert_hermitian_psd(cli.build_preset_spec(name, {}).pump)
+
+
+def test_overflowing_coupling_is_rejected_at_the_lift():
+    # the entries are finite, so make_gauge_invariant takes them, but Theta Theta* overflows
+    with np.errstate(all="ignore"):
+        gi = one_end_chain(3, 1e200, 0.3)
+        with pytest.raises(StructureViolation, match="non-finite"):
+            lift_gauge_invariant(gi)
 
 
 def test_spec_drift_and_pump_stay_complex():
@@ -887,6 +926,12 @@ class TestValidateOnce:
         assert validate_calls == {"CovarianceMatrix": 8}
         assert len(expm_calls) == 1
 
+    def test_lift_trusts_gauge_invariant_data(self, validate_calls):
+        gi = two_bath_chain(ChainParams(length=4, theta1=1.0, theta_l=1.0, n1=1.0, n_l=0.0))[0]
+        validate_calls.clear()
+        lift_gauge_invariant(gi)
+        assert validate_calls == {}
+
     def test_make_semigroup_trusts_tagged_inputs(self, validate_calls):
         rng = np.random.default_rng(22)
         t_s, theta, m_b = random_qf(rng, 2), random_coupling(rng, 2, 1), random_covariance(rng, 1)
@@ -936,3 +981,12 @@ class TestOneSchurForm:
         self._answer_everything(spec, m0)
         k = 2 * spec.mode_count - ergodicity(spec).kalman_rank
         assert decompositions == [("schur", spec.drift.shape)] * 2 + [("eigh", (k, k))]
+
+    def test_gauge_invariant_chain_reads_the_lifted_form(self, decompositions):
+        # the solve and the flow of L x L data use the lift's 2L x 2L form, one per lift
+        L = 5
+        gi, _ = two_bath_chain(ChainParams(length=L, theta1=1.0, theta_l=1.0, n1=1.0, n_l=0.0))
+        decompositions.clear()
+        m0 = stationary_gauge_invariant(gi)
+        propagate_gauge_invariant(gi, m0, np.zeros((L, L)), 0.5)
+        assert decompositions == [("schur", (2 * L, 2 * L))] * 2
