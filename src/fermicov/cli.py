@@ -2,10 +2,10 @@
 
 Model files and reports are JSON: nested key-value objects whose matrices are
 row-major nested arrays with every complex number a two-element [re, im]
-array.  Floats are emitted in Python's shortest round-tripping decimal form
-(at most 17 significant digits), so write-then-read reproduces every value
-bit-exactly.  Exit codes: 0 success, 1 malformed or oversized input,
-2 numerical or ergodicity failure.
+array.  Reports print floats in Python's shortest round-tripping form, the
+``evolve`` CSV with ``%.17g`` (17 digits: round-tripping, not shortest), so
+write-then-read reproduces every value bit-exactly.  Exit codes: 0 success,
+1 malformed or oversized input, 2 numerical or ergodicity failure.
 
 ``main`` may be called repeatedly in one process: it builds its parser once,
 and pauses the garbage collector (process-wide) only while parsing a model file.
@@ -101,10 +101,6 @@ def matrix_from_json(data, what: str) -> np.ndarray:
     if pairs.ndim != 3 or pairs.shape[2] != 2:
         raise UsageError(f"{what}: expected a matrix of [re, im] pairs")
     return pairs.view(complex)[..., 0]
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 # ---------------------------------------------------------------------------
@@ -284,14 +280,24 @@ def _ergodicity_section(report: ErgodicityReport) -> dict:
     }
 
 
+def _observables(cov: CovarianceMatrix) -> list[float]:
+    """Occupations, then currents: the diagonal and first superdiagonal of
+    ``small_from_full``, bit for bit, read from the Majorana entries M with the
+    basis conversion's arithmetic (for M = I/2 + iR, 1/2 + R[i, L+i] and
+    (R[i, i+1] + R[L+i, L+i+1]) / 2)."""
+    L = cov.mode_count
+    blocks = convert_basis(cov, BasisTag.MAJORANA).entries.reshape(2, L, 2, L)
+    # d[p, q] lists M[pL + i, qL + i] for each i, then M[pL + i, qL + i + 1]
+    d = np.concatenate([blocks.diagonal(axis1=1, axis2=3), blocks.diagonal(1, axis1=1, axis2=3)], axis=2)
+    small = 0.5 * (d[0, 0] + 1j * d[1, 0]) - 0.5j * (d[0, 1] + 1j * d[1, 1])
+    return np.concatenate([small[:L].real, small[L:].imag]).tolist()
+
+
 def _stationary_section(m_inf: CovarianceMatrix, include_matrix: bool) -> dict:
-    small = small_from_full(m_inf).entries
-    section = {
-        "occupations": [float(x) for x in small.diagonal().real],
-        "currents": [float(x) for x in np.diag(small, 1).imag],
-    }
+    values, L = _observables(m_inf), m_inf.mode_count
+    section = {"occupations": values[:L], "currents": values[L:]}
     if include_matrix:
-        section["matrix"] = matrix_to_json(small)
+        section["matrix"] = matrix_to_json(small_from_full(m_inf).entries)
     return section
 
 
@@ -367,15 +373,13 @@ def cmd_evolve(args, out, err) -> int:
     if m_inf is not None:
         header.append("distance")
     out.write(",".join(header) + "\n")
+    row = ",".join(["%.17g"] * len(header)) + "\n"
     series = propagate_series(spec, m0, args.t_final / args.samples, args.samples)
     for j, m_t in enumerate(series):
-        small = small_from_full(m_t).entries
-        row = [_fmt(args.t_final * j / args.samples)]
-        row += [_fmt(x) for x in small.diagonal().real]
-        row += [_fmt(x) for x in np.diag(small, 1).imag]
+        values = [args.t_final * j / args.samples, *_observables(m_t)]
         if m_inf is not None:
-            row.append(_fmt(np.abs(m_t.entries - m_inf.entries).max()))
-        out.write(",".join(row) + "\n")
+            values.append(np.abs(m_t.entries - m_inf.entries).max())
+        out.write(row % tuple(values))
     return 0
 
 

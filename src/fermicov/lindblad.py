@@ -53,9 +53,9 @@ from .phase import (
 from .quasifree import (
     CovarianceMatrix,
     SmallCovarianceMatrix,
+    _covariance_from_r,
     full_from_small,
     small_from_full,
-    validate_covariance,
     validate_small_covariance,
 )
 
@@ -285,7 +285,7 @@ def stationary(spec: SemigroupSpec) -> CovarianceMatrix:
     residual = _max_abs(g @ r + r @ g.T + y)
     if not residual <= RESIDUAL_TOL * max(_max_abs(spec.pump), 1e-300):
         raise NumericalFailure(f"stationary residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e} |P|")
-    return _checked(validate_covariance, 0.5 * np.eye(len(r)) + 1j * r, BasisTag.MAJORANA)
+    return _checked(_covariance_from_r, r)
 
 
 def stationary_gauge_invariant(spec: GaugeInvariantSpec) -> SmallCovarianceMatrix:
@@ -350,9 +350,10 @@ def propagate_series(
     Computes one flow (E, Q) over dt with ``_majorana_flow`` and steps R by
     the semigroup law R((j+1) dt) = E R(j dt) E^T + Q, whether or not the
     stationary state is unique.  M(0) is ``m0``, trusted by its tag; every
-    stepped state is I/2 + iR with R antisymmetrized, and one that fails its
-    validation raises NumericalFailure.  The checks on dt, steps and m0 run
-    when iteration starts.
+    stepped state is I/2 + iR with R antisymmetrized, built and checked once
+    by ``_covariance_from_r``, and one that fails its check raises
+    NumericalFailure.  The checks on dt, steps and m0 run when iteration
+    starts.
     """
     if not (np.isfinite(dt) and dt >= 0):
         raise ValueError("propagation time must be nonnegative and finite")
@@ -366,13 +367,10 @@ def propagate_series(
     m = convert_basis(m0, BasisTag.MAJORANA)
     yield m
     r = m.entries.imag
-    half = 0.5 * np.eye(len(r))
     for _ in range(steps):
         r = e @ r @ e.T + q
         r = (r - r.T) / 2
-        m = CovarianceMatrix(entries=half + 1j * r, basis=BasisTag.MAJORANA, mode_count=spec.mode_count)
-        _checked(m.validate)
-        yield m
+        yield _checked(_covariance_from_r, r)
 
 
 def propagate(spec: SemigroupSpec, m0: CovarianceMatrix, t: float) -> CovarianceMatrix:

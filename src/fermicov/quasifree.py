@@ -14,6 +14,7 @@ the signed sum over pairings implemented in :func:`wick_moment`.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -60,6 +61,24 @@ class CovarianceMatrix:
         _check_unit_spectrum(m, "covariance", tol)
         message = "Majorana covariance is not of the form I/2 + i R"
         _check_particle_hole(self, tol, message, target=0.5 * np.eye(len(m)))
+
+
+def _covariance_from_r(r: np.ndarray) -> CovarianceMatrix:
+    """The Majorana covariance I/2 + iR of an exactly antisymmetric real R.
+
+    Only its spectrum can fail: it lies in [0, 1] within tol exactly when
+    |R|_2 <= 1/2 + tol, which a real Cholesky of (1/2 + tol)^2 I - R R^T
+    certifies for a finite R (LAPACK factors NaN without complaint).  It is
+    numpy's, as scipy's OpenBLAS threads contend with numpy's.  When either
+    check fails, ``validate`` decides and names the residual.
+    """
+    m = CovarianceMatrix(entries=0.5 * np.eye(len(r)) + 1j * r, basis=BasisTag.MAJORANA, mode_count=len(r) // 2)
+    if np.isfinite(r).all():
+        with contextlib.suppress(np.linalg.LinAlgError):
+            np.linalg.cholesky((0.5 + _tol(r)) ** 2 * np.eye(len(r)) - r @ r.T)
+            return m
+    m.validate()
+    return m
 
 
 @dataclass(frozen=True, eq=False)

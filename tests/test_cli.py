@@ -327,12 +327,19 @@ class TestSteppedSeries:
             calls["validate"] += 1
             return _original(self, *args, **kwargs)
 
+        def certified(*args, _original=fermicov.lindblad._covariance_from_r):
+            calls["_covariance_from_r"] += 1
+            return _original(*args)
+
         monkeypatch.setattr(CovarianceMatrix, "validate", counted)
+        monkeypatch.setattr(fermicov.lindblad, "_covariance_from_r", certified)
         samples = 30
         _evolve_rows(path, "mixed", "5", samples)
         # the mixed start and, for a unique model, the stationary state (for the
-        # distance column) are checked once each; then one check per stepped row
-        assert calls == {"expm": 1, "validate": model_checks + samples}
+        # distance column) are checked once each; then one check per stepped row.
+        # Only the mixed start, caller data, goes through ``validate``: every
+        # computed state is certified without falling back to it.
+        assert calls == {"expm": 1, "validate": 1, "_covariance_from_r": model_checks - 1 + samples}
 
     def test_long_time_star_rows_stay_put(self, tmp_path):
         # the star's uncontrolled modes rotate exactly, so a late row equals a settled one
@@ -341,6 +348,59 @@ class TestSteppedSeries:
         settled = _evolve_rows(path, "vacuum", "1e4", 1)[1, 1:]
         late = _evolve_rows(path, "vacuum", "1e10", 1)[1, 1:]
         assert np.abs(late - settled).max() < 1e-12
+
+
+class TestObservables:
+    """The evolve and stationary reader equals ``small_from_full`` bit for bit,
+    signed zeros included, so the CSV and JSON bytes do not depend on it."""
+
+    @staticmethod
+    def _assert_reads_small_block(m):
+        from fermicov import small_from_full
+
+        small = small_from_full(m).entries
+        expected = np.r_[small.diagonal().real, np.diag(small, 1).imag]
+        got = np.array(cli._observables(m))
+        assert np.array_equal(got, expected)
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+    @pytest.mark.parametrize("name", sorted(cli.PRESETS))
+    @pytest.mark.parametrize("length", [None, 7])
+    def test_stepped_and_stationary_states(self, name, length):
+        from fermicov import NonUniqueStationary, propagate_series, stationary
+
+        spec = build_preset_spec(name, {} if length is None else {"length": length})
+        states = [cli._initial_covariance(spec, "vacuum"), cli._initial_covariance(spec, "mixed")]
+        with contextlib.suppress(NonUniqueStationary):
+            states.append(stationary(spec))
+        for m0 in states:
+            for m in propagate_series(spec, m0, 0.7, 6):
+                self._assert_reads_small_block(m)
+
+    def test_vacuum_from_the_creation_annihilation_basis(self):
+        spec = build_preset_spec("xy", {})
+        m0 = cli._initial_covariance(spec, "vacuum")
+        assert m0.basis is CA
+        self._assert_reads_small_block(m0)
+        self._assert_reads_small_block(convert_basis(m0, BasisTag.MAJORANA))
+
+    @pytest.mark.parametrize("basis", ["majorana", "creation-annihilation"])
+    def test_m0_file_off_half_identity(self, basis, tmp_path):
+        # a real part off I/2 within tolerance, which the stepped states never have
+        from fermicov import validate_covariance
+
+        rng = np.random.default_rng(60)
+        spec = build_preset_spec("two-bath-chain", {})
+        n = 2 * spec.mode_count
+        x, y = rng.standard_normal((2, n, n))
+        r = (y - y.T) * 0.4 / np.linalg.norm(y - y.T, 2)
+        m = 0.5 * np.eye(n) + 1e-11 * (x + x.T) + 1j * r
+        m = convert_basis(validate_covariance(m, BasisTag.MAJORANA), BasisTag(basis)).entries
+        path = tmp_path / "m0.json"
+        path.write_text(json.dumps({"basis": basis, "m0": matrix_to_json(m)}))
+        m0 = cli._initial_covariance(spec, str(path))
+        assert 0 < np.abs(convert_basis(m0, BasisTag.MAJORANA).entries.real - 0.5 * np.eye(n)).max() < 1e-9
+        self._assert_reads_small_block(m0)
 
 
 class TestChainAtLength80:

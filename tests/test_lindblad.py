@@ -12,6 +12,7 @@ from fermicov import (
     CovarianceMatrix,
     HamiltonianMatrix,
     NonUniqueStationary,
+    NumericalFailure,
     SmallCovarianceMatrix,
     StructureViolation,
     convert_basis,
@@ -870,12 +871,46 @@ class TestChainPredictionAlgebra:
         assert up.current > 0 > down.current
 
 
+class TestSteppedStateCheck:
+    """A stepped state that fails its check raises NumericalFailure with the
+    message ``validate`` gives that state."""
+
+    @pytest.mark.parametrize("flow", ["doubling", "nan", "inf"])
+    def test_invalid_stepped_state(self, flow, monkeypatch):
+        spec = random_semigroup(np.random.default_rng(25), 3, 1)
+        n = 2 * spec.mode_count
+        m0 = validate_covariance(np.diag(np.r_[np.ones(3), np.zeros(3)]), CA)  # the vacuum, |R|_2 = 1/2
+        q = np.zeros((n, n))
+        q[0, 1], q[1, 0] = {"doubling": (0.0, 0.0), "nan": (np.nan, np.nan), "inf": (np.inf, -np.inf)}[flow]
+        e = 2 * np.eye(n) if flow == "doubling" else np.eye(n)
+        monkeypatch.setattr(lindblad, "_majorana_flow", lambda spec, t: (e, q))
+        with np.errstate(invalid="ignore"):
+            r = e @ convert_basis(m0, MAJ).entries.imag @ e.T + q
+            r = (r - r.T) / 2
+            bare = CovarianceMatrix(entries=0.5 * np.eye(n) + 1j * r, basis=MAJ, mode_count=3)
+            with pytest.raises(StructureViolation) as expected:
+                bare.validate()
+            with pytest.raises(NumericalFailure) as raised:
+                list(propagate_series(spec, m0, 0.1, 2))
+        assert str(raised.value) == str(expected.value)
+        start = "covariance eigenvalues leave [0, 1]" if flow == "doubling" else "covariance is not Hermitian"
+        assert str(raised.value).startswith(start)
+
+
 class TestValidateOnce:
     """A tagged value is checked where it is built; its consumers trust the tag."""
 
     @pytest.fixture
     def validate_calls(self, monkeypatch):
+        """Checks made, by the class validated; a computed state certified by
+        ``_covariance_from_r`` counts once, under that name."""
         calls = Counter()
+
+        def certified(*args, _original=lindblad._covariance_from_r):
+            calls["_covariance_from_r"] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(lindblad, "_covariance_from_r", certified)
         for cls in (
             HamiltonianMatrix,
             CouplingMatrix,
@@ -909,7 +944,7 @@ class TestValidateOnce:
         validate_calls.clear()
         out = propagate(spec, m0, 1.0)
         assert out.basis is CA
-        assert validate_calls == {"CovarianceMatrix": 1}
+        assert validate_calls == {"_covariance_from_r": 1}
 
     def test_series_checks_each_stepped_state_once(self, validate_calls, monkeypatch):
         import fermicov.lindblad
@@ -923,7 +958,7 @@ class TestValidateOnce:
         series = list(propagate_series(spec, m0, 0.25, 8))
         assert len(series) == 9
         assert all(m.basis is MAJ for m in series)
-        assert validate_calls == {"CovarianceMatrix": 8}
+        assert validate_calls == {"_covariance_from_r": 8}
         assert len(expm_calls) == 1
 
     def test_lift_trusts_gauge_invariant_data(self, validate_calls):

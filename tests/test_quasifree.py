@@ -3,6 +3,7 @@ import pytest
 
 from fermicov import (
     BasisTag,
+    CovarianceMatrix,
     StructureViolation,
     WordTooLong,
     convert_basis,
@@ -20,6 +21,8 @@ from fermicov import (
     wick_moment,
 )
 from fermicov.models import chain_hamiltonian
+from fermicov.phase import TAU_STRUCT, _tol
+from fermicov.quasifree import _covariance_from_r
 
 from conftest import random_covariance, random_qf
 
@@ -252,3 +255,96 @@ class TestValidation:
         sym = 0.2 * np.array([[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(StructureViolation, match="I/2 \\+ i R"):
             validate_covariance(np.block([[0.5 * np.eye(2), sym], [sym, 0.5 * np.eye(2)]]), CA)
+
+
+def _verdict(check):
+    """The message ``check()`` raises, or None when it passes."""
+    try:
+        check()
+    except StructureViolation as exc:
+        return str(exc)
+    return None
+
+
+def _antisymmetric(rng, n, norm, pure=False):
+    """Exactly antisymmetric R = O J O^T with |R|_2 = norm (up to rounding),
+    J block diagonal; all of J's blocks have the norm when ``pure``."""
+    o, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    s = np.full(n // 2, norm) if pure else norm * rng.uniform(0.0, 1.0, n // 2)
+    s[0] = norm
+    j = np.zeros((n, n))
+    j[np.arange(0, n, 2), np.arange(1, n, 2)] = s
+    r = o @ (j - j.T) @ o.T
+    return (r - r.T) / 2
+
+
+class TestCovarianceFromR:
+    """The Cholesky certificate of a stepped state agrees with ``validate``,
+    and decides every valid state without falling back to it."""
+
+    @pytest.fixture
+    def validate_calls(self, monkeypatch):
+        calls = []
+
+        def counted(self, _original=CovarianceMatrix.validate):
+            calls.append(1)
+            return _original(self)
+
+        monkeypatch.setattr(CovarianceMatrix, "validate", counted)
+        return calls
+
+    @staticmethod
+    def _agrees(r):
+        """The certificate's verdict, after asserting that ``validate`` gives the same one."""
+        L = len(r) // 2
+        bare = CovarianceMatrix(entries=0.5 * np.eye(len(r)) + 1j * r, basis=MAJ, mode_count=L)
+        verdict = _verdict(lambda: _covariance_from_r(r))
+        assert verdict == _verdict(bare.validate)
+        return verdict
+
+    @pytest.mark.parametrize("n", [2, 4, 8, 40, 200])
+    def test_pure_states_pass_on_the_certificate(self, n, validate_calls):
+        rng = np.random.default_rng(n)
+        exact = np.zeros((n, n))
+        exact[np.arange(n // 2), np.arange(n // 2) + n // 2] = rng.choice([-0.5, 0.5], n // 2)
+        exact = exact - exact.T  # |R|_2 = 1/2 exactly: a pure Gaussian state
+        for r in (exact, _antisymmetric(rng, n, 0.5, pure=True)):
+            assert self._agrees(r) is None
+        assert validate_calls == [1, 1]  # only the two reference checks
+
+    @pytest.mark.parametrize("n", [2, 6, 40, 200])
+    @pytest.mark.parametrize("offset", [-1e-12, 1e-12])
+    def test_verdict_at_the_tolerance(self, n, offset):
+        rng = np.random.default_rng(30 + n)
+        r0 = _antisymmetric(rng, n, 0.5)
+        r = (0.5 + TAU_STRUCT + offset) / np.linalg.norm(r0, 2) * r0
+        r = (r - r.T) / 2
+        assert _tol(r) == TAU_STRUCT
+        verdict = self._agrees(r)
+        if offset < 0:
+            assert verdict is None
+        else:
+            assert verdict.startswith("covariance eigenvalues leave [0, 1]")
+
+    @pytest.mark.parametrize("n", [2, 4, 10, 30, 80, 200])
+    def test_random_states(self, n, validate_calls):
+        rng = np.random.default_rng(40 + n)
+        rejected = 0
+        for _ in range(12):
+            x = rng.standard_normal((n, n))
+            r = (x - x.T) / 2
+            r *= rng.uniform(0.3, 0.7) / np.linalg.norm(r, 2)
+            r = (r - r.T) / 2
+            rejected += self._agrees(r) is not None
+        assert 0 < rejected < 12
+        # one reference check per state, plus one fallback per rejected state
+        assert len(validate_calls) == 12 + rejected
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_r_is_rejected_as_validate_rejects_it(self, bad):
+        # LAPACK factors a NaN matrix without complaint: finiteness is checked first
+        r = _antisymmetric(np.random.default_rng(50), 4, 0.25)
+        r[0, 1], r[1, 0] = bad, -bad
+        with np.errstate(invalid="ignore"):
+            verdict = self._agrees(r)
+        assert verdict.startswith("covariance is not Hermitian")
