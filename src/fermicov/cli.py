@@ -18,6 +18,7 @@ import contextlib
 import gc
 import hashlib
 import json
+import math
 import sys
 
 import numpy as np
@@ -172,12 +173,14 @@ def _preset_parameters(name: str, parameters: dict) -> dict:
 
 
 def _mode_count(what: str, value) -> int:
-    """``value`` as an exact integer count: an int that is not a bool, or an
-    integral float.  Raises ValueError otherwise, TooLarge above the cap."""
+    """``value`` as an exact integer count of at least 1: an int that is not a
+    bool, or an integral float.  Raises ValueError otherwise, TooLarge above the cap."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     if type(value) is not int:
         raise ValueError(f"{what} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{what} must be at least 1, got {value}")
     if value > L_MODEL_MAX:
         raise TooLarge(f"{what} {value} exceeds the model cap L_MODEL_MAX = {L_MODEL_MAX}")
     return value
@@ -280,24 +283,11 @@ def _ergodicity_section(report: ErgodicityReport) -> dict:
     }
 
 
-def _observables(cov: CovarianceMatrix) -> list[float]:
-    """Occupations, then currents: the diagonal and first superdiagonal of
-    ``small_from_full``, bit for bit, read from the Majorana entries M with the
-    basis conversion's arithmetic (for M = I/2 + iR, 1/2 + R[i, L+i] and
-    (R[i, i+1] + R[L+i, L+i+1]) / 2)."""
-    L = cov.mode_count
-    blocks = convert_basis(cov, BasisTag.MAJORANA).entries.reshape(2, L, 2, L)
-    # d[p, q] lists M[pL + i, qL + i] for each i, then M[pL + i, qL + i + 1]
-    d = np.concatenate([blocks.diagonal(axis1=1, axis2=3), blocks.diagonal(1, axis1=1, axis2=3)], axis=2)
-    small = 0.5 * (d[0, 0] + 1j * d[1, 0]) - 0.5j * (d[0, 1] + 1j * d[1, 1])
-    return np.concatenate([small[:L].real, small[L:].imag]).tolist()
-
-
 def _stationary_section(m_inf: CovarianceMatrix, include_matrix: bool) -> dict:
-    values, L = _observables(m_inf), m_inf.mode_count
-    section = {"occupations": values[:L], "currents": values[L:]}
+    small = small_from_full(m_inf).entries
+    section = {"occupations": small.diagonal().real.tolist(), "currents": small.diagonal(1).imag.tolist()}
     if include_matrix:
-        section["matrix"] = matrix_to_json(small_from_full(m_inf).entries)
+        section["matrix"] = matrix_to_json(small)
     return section
 
 
@@ -376,7 +366,10 @@ def cmd_evolve(args, out, err) -> int:
     row = ",".join(["%.17g"] * len(header)) + "\n"
     series = propagate_series(spec, m0, args.t_final / args.samples, args.samples)
     for j, m_t in enumerate(series):
-        values = [args.t_final * j / args.samples, *_observables(m_t)]
+        t = args.t_final * j / args.samples
+        small = small_from_full(m_t).entries
+        values = [t if math.isfinite(t) else args.t_final * (j / args.samples)]
+        values += [*small.diagonal().real.tolist(), *small.diagonal(1).imag.tolist()]
         if m_inf is not None:
             values.append(np.abs(m_t.entries - m_inf.entries).max())
         out.write(row % tuple(values))

@@ -36,7 +36,6 @@ from .phase import (
     _tol,
     block_reduce,
     convert_basis,
-    validate_qf,
 )
 from .quasifree import CovarianceMatrix, validate_covariance
 
@@ -183,21 +182,21 @@ def gibbs_state(h: DenseOperator, beta: float) -> DenseState:
 def quasifree_state(m: CovarianceMatrix) -> DenseState:
     """Dense quasi-free state with the given covariance matrix.
 
-    Inverts the Gibbs closed form through the block reduction of M - I/2,
-    which keeps the +-lambda pairing of the generator exact; covariance
+    Inverts the Gibbs closed form through the block reduction of M - I/2, read
+    as iR from M = I/2 + iR in the Majorana basis, which keeps the +-lambda
+    pairing of the generator exact; covariance
     eigenvalues are clamped away from {0, 1} by 1e-12, so pinned covariances
     are realized up to that clamping error.
     """
-    mc = convert_basis(m, BasisTag.CREATION_ANNIHILATION).entries
     L = m.mode_count
-    q = validate_qf(mc - 0.5 * np.eye(2 * L), BasisTag.CREATION_ANNIHILATION)
-    u, lam = block_reduce(q)
+    r = convert_basis(m, BasisTag.MAJORANA).entries.imag
+    u, lam = block_reduce(HamiltonianMatrix(entries=1j * r, basis=BasisTag.MAJORANA, mode_count=L))
     lam = np.clip(lam, 0.0, 0.5 - 1e-12)
     # T = (1/2) logit(1/2 + lam) per mode makes (I + e^{-2T})^{-1} = M
     g = 0.5 * (np.log(0.5 + lam) - np.log(0.5 - lam))
     diag = np.concatenate([g, -g])
     t_entries = (u.entries * diag) @ u.entries.conj().T
-    t = validate_qf(t_entries, BasisTag.CREATION_ANNIHILATION)
+    t = HamiltonianMatrix(entries=t_entries, basis=BasisTag.CREATION_ANNIHILATION, mode_count=L)
     return gibbs_state(quadratic_hamiltonian(t, 1.0), 1.0)
 
 

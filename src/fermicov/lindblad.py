@@ -41,14 +41,13 @@ from .phase import (
     HamiltonianMatrix,
     _as_matrix,
     _check_hermitian,
-    _convert_entries,
     _max_abs,
     _scale,
+    _small_block,
     _tol,
     block_reduce,
     convert_basis,
     expm,
-    validate_qf,
 )
 from .quasifree import (
     CovarianceMatrix,
@@ -97,7 +96,6 @@ class GaugeInvariantSpec:
     t_s0: np.ndarray
     theta0: np.ndarray
     m_b0: SmallCovarianceMatrix
-    drift0: np.ndarray
 
     @property
     def mode_count(self) -> int:
@@ -109,7 +107,7 @@ class GaugeInvariantSpec:
 
     @cached_property
     def _schur(self) -> tuple:
-        return _near_axis(self.drift0)
+        return _near_axis(_drift(self.t_s0, self.theta0))
 
 
 @dataclass(frozen=True)
@@ -161,7 +159,7 @@ def make_gauge_invariant(t_s0, theta0, m_b0) -> GaugeInvariantSpec:
         raise StructureViolation(
             f"bath covariance size {mb0.mode_count} does not match coupling columns {th0.shape[1]}"
         )
-    return GaugeInvariantSpec(t_s0=t0, theta0=th0, m_b0=mb0, drift0=_drift(t0, th0))
+    return GaugeInvariantSpec(t_s0=t0, theta0=th0, m_b0=mb0)
 
 
 def lift_gauge_invariant(gi: GaugeInvariantSpec) -> SemigroupSpec:
@@ -246,19 +244,6 @@ def ergodicity_gauge_invariant(spec: GaugeInvariantSpec) -> ErgodicityReport:
     return _ergodicity_core(spec.t_s0, spec._schur)
 
 
-def _checked(check, *args):
-    """``check(*args)`` on a computed result.
-
-    A result that fails its check is a numerical failure, not malformed
-    input, so the StructureViolation is re-raised as NumericalFailure with
-    the same message and residual.
-    """
-    try:
-        return check(*args)
-    except StructureViolation as exc:
-        raise NumericalFailure(str(exc)) from exc
-
-
 def stationary(spec: SemigroupSpec) -> CovarianceMatrix:
     """Stationary covariance matrix of an ergodic semigroup (Majorana basis).
 
@@ -285,7 +270,7 @@ def stationary(spec: SemigroupSpec) -> CovarianceMatrix:
     residual = _max_abs(g @ r + r @ g.T + y)
     if not residual <= RESIDUAL_TOL * max(_max_abs(spec.pump), 1e-300):
         raise NumericalFailure(f"stationary residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e} |P|")
-    return _checked(_covariance_from_r, r)
+    return _covariance_from_r(r)
 
 
 def stationary_gauge_invariant(spec: GaugeInvariantSpec) -> SmallCovarianceMatrix:
@@ -299,12 +284,15 @@ def _affine_flow(drift: np.ndarray, pump: np.ndarray, t: float) -> tuple[np.ndar
     The Van Loan block exp(h [[G, Y], [0, -G^T]]) = [[E_h, F], [0, E_h^-T]]
     gives E_h and Q_h = F E_h^T at a step h = t / 2^k with h |G|_1 <= 1, where
     the growing e^(-h G^T) block stays bounded; k doublings
-    (E, Q) <- (E^2, E Q E^T + Q) then reach t.
+    (E, Q) <- (E^2, E Q E^T + Q) then reach t.  k is read off t = m 2^e as
+    e plus the exponent of m |G|_1, as t |G|_1 overflows at the top of the
+    float range.
     """
     n = drift.shape[0]
-    k = max(int(np.frexp(t * np.abs(drift).sum(axis=0).max(initial=0.0))[1]), 0)
+    mantissa, exponent = np.frexp(t)
+    k = max(int(np.frexp(mantissa * np.abs(drift).sum(axis=0).max(initial=0.0))[1]) + int(exponent), 0)
     block = np.block([[drift, pump], [np.zeros_like(drift), -drift.T]])
-    f = expm((t / 2**k) * block)
+    f = expm(np.ldexp(t, -k) * block)
     e = f[:n, :n]
     q = f[:n, n:] @ e.T
     for _ in range(k):
@@ -370,7 +358,7 @@ def propagate_series(
     for _ in range(steps):
         r = e @ r @ e.T + q
         r = (r - r.T) / 2
-        yield _checked(_covariance_from_r, r)
+        yield _covariance_from_r(r)
 
 
 def propagate(spec: SemigroupSpec, m0: CovarianceMatrix, t: float) -> CovarianceMatrix:
@@ -402,7 +390,7 @@ def propagate_gauge_invariant(
     lifted = lift_gauge_invariant(spec)
     m_t = small_from_full(propagate(lifted, full_from_small(m0), t))
     e, _ = _majorana_flow(lifted, float(t))
-    e0 = _convert_entries(e, BasisTag.MAJORANA, BasisTag.CREATION_ANNIHILATION)[:L, :L]
+    e0 = _small_block(e)
     return m_t, e0 @ a_mat @ e0.T
 
 
@@ -433,13 +421,13 @@ def real_case_kalman(c_t, c_theta) -> bool:
 def support_decomposition(m_inf: CovarianceMatrix) -> tuple[int, int, BogoliubovTransform]:
     """Split the mode space into pinned-empty modes and a faithful remainder.
 
-    Block-reduces M - I/2 and counts covariance eigenvalues within ``PIN_TOL``
-    of 1; the returned transform orders the pinned modes first.
+    Block-reduces M - I/2, read as iR from M = I/2 + iR in the Majorana basis,
+    and counts covariance eigenvalues within ``PIN_TOL`` of 1; the returned
+    transform orders the pinned modes first.
     """
-    mc = convert_basis(m_inf, BasisTag.CREATION_ANNIHILATION)
     L = m_inf.mode_count
-    q = validate_qf(mc.entries - 0.5 * np.eye(2 * L), BasisTag.CREATION_ANNIHILATION)
-    u, lam = block_reduce(q)
+    r = convert_basis(m_inf, BasisTag.MAJORANA).entries.imag
+    u, lam = block_reduce(HamiltonianMatrix(entries=1j * r, basis=BasisTag.MAJORANA, mode_count=L))
     mu = 0.5 + lam
     a = int(np.sum(mu >= 1.0 - PIN_TOL))
     return a, L - a, u

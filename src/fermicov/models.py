@@ -20,11 +20,13 @@ from .quasifree import covariance_from_gibbs, full_from_small, validate_small_co
 
 
 def _upper_shift(length: int) -> np.ndarray:
-    return np.diag(np.ones(length - 1), 1) if length > 1 else np.zeros((1, 1))
+    return np.diag(np.ones(length - 1), 1)
 
 
 def chain_hamiltonian(length: int) -> np.ndarray:
     """Nearest-neighbor hopping matrix D + D^T."""
+    if length < 1:
+        raise StructureViolation("chain needs at least one site")
     d = _upper_shift(length)
     return d + d.T
 

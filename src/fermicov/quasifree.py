@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg
 
-from .errors import StructureViolation, WordTooLong
+from .errors import NumericalFailure, StructureViolation, WordTooLong
 from .phase import (
     BasisTag,
     HamiltonianMatrix,
@@ -29,6 +29,7 @@ from .phase import (
     _check_even_square,
     _check_hermitian,
     _check_particle_hole,
+    _small_block,
     _tol,
     convert_basis,
 )
@@ -64,20 +65,25 @@ class CovarianceMatrix:
 
 
 def _covariance_from_r(r: np.ndarray) -> CovarianceMatrix:
-    """The Majorana covariance I/2 + iR of an exactly antisymmetric real R.
+    """The Majorana covariance I/2 + iR of a computed, exactly antisymmetric real R.
 
     Only its spectrum can fail: it lies in [0, 1] within tol exactly when
     |R|_2 <= 1/2 + tol, which a real Cholesky of (1/2 + tol)^2 I - R R^T
     certifies for a finite R (LAPACK factors NaN without complaint).  It is
     numpy's, as scipy's OpenBLAS threads contend with numpy's.  When either
-    check fails, ``validate`` decides and names the residual.
+    check fails, ``validate`` decides and names the residual; a computed state
+    that fails it is a numerical failure, not malformed input, so its
+    StructureViolation is re-raised as NumericalFailure with the same message.
     """
     m = CovarianceMatrix(entries=0.5 * np.eye(len(r)) + 1j * r, basis=BasisTag.MAJORANA, mode_count=len(r) // 2)
     if np.isfinite(r).all():
         with contextlib.suppress(np.linalg.LinAlgError):
             np.linalg.cholesky((0.5 + _tol(r)) ** 2 * np.eye(len(r)) - r @ r.T)
             return m
-    m.validate()
+    try:
+        m.validate()
+    except StructureViolation as exc:
+        raise NumericalFailure(str(exc)) from exc
     return m
 
 
@@ -145,9 +151,9 @@ def _logistic(x: np.ndarray) -> np.ndarray:
 
 def small_from_full(m: CovarianceMatrix) -> SmallCovarianceMatrix:
     """Upper-left L x L block in the creation/annihilation basis."""
-    mc = convert_basis(m, BasisTag.CREATION_ANNIHILATION)
     L = m.mode_count
-    return SmallCovarianceMatrix(entries=mc.entries[:L, :L].copy(), mode_count=L)
+    small = _small_block(m.entries) if m.basis is BasisTag.MAJORANA else m.entries[:L, :L].copy()
+    return SmallCovarianceMatrix(entries=small, mode_count=L)
 
 
 def full_from_small(m0: SmallCovarianceMatrix) -> CovarianceMatrix:

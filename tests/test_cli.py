@@ -269,6 +269,22 @@ class TestEvolve:
         assert len(lines) == 7
 
 
+class TestTopOfTheFloatRange:
+    @pytest.mark.parametrize("name", ["two-bath-chain", "star"])
+    @pytest.mark.parametrize("t_final", ["1e308", repr(sys.float_info.max)])
+    def test_evolve_exits_zero(self, name, t_final, tmp_path):
+        path = write_model(tmp_path, {"schema_version": 1, "preset": {"name": name}})
+        code, out, err = run_cli("evolve", path, "--t-final", t_final, "--samples", "1")
+        assert (code, err) == (0, "")
+        assert np.isfinite(np.array(out.strip().splitlines()[-1].split(","), dtype=float)).all()
+
+    def test_time_column_stays_finite(self, tmp_path):
+        # 1e308 * 2 overflows; the column is t_final * j / samples wherever that is finite
+        path = write_model(tmp_path, {"schema_version": 1, "preset": {"name": "two-bath-chain"}})
+        times = _evolve_rows(path, "mixed", "1e308", 3)[:, 0]
+        assert times.tolist() == [0.0, 1e308 * 1 / 3, 1e308 * (2 / 3), 1e308]
+
+
 def _evolve_rows(path, m0, t_final, samples):
     code, out, _ = run_cli("evolve", path, "--m0", m0, "--t-final", t_final, "--samples", str(samples))
     assert code == 0
@@ -351,18 +367,23 @@ class TestSteppedSeries:
 
 
 class TestObservables:
-    """The evolve and stationary reader equals ``small_from_full`` bit for bit,
+    """``small_from_full``, which the evolve rows and the stationary report
+    read, equals the dense basis conversion's top-left block bit for bit,
     signed zeros included, so the CSV and JSON bytes do not depend on it."""
 
     @staticmethod
-    def _assert_reads_small_block(m):
-        from fermicov import small_from_full
-
-        small = small_from_full(m).entries
-        expected = np.r_[small.diagonal().real, np.diag(small, 1).imag]
-        got = np.array(cli._observables(m))
+    def _assert_same_bits(got, expected):
         assert np.array_equal(got, expected)
-        assert np.array_equal(np.signbit(got), np.signbit(expected))
+        for part in (np.real, np.imag):
+            assert np.array_equal(np.signbit(part(got)), np.signbit(part(expected)))
+
+    @classmethod
+    def _assert_reads_small_block(cls, m):
+        from fermicov import small_from_full
+        from fermicov.phase import _convert_entries
+
+        L = m.mode_count
+        cls._assert_same_bits(small_from_full(m).entries, _convert_entries(m.entries, m.basis, CA)[:L, :L])
 
     @pytest.mark.parametrize("name", sorted(cli.PRESETS))
     @pytest.mark.parametrize("length", [None, 7])
@@ -401,6 +422,25 @@ class TestObservables:
         m0 = cli._initial_covariance(spec, str(path))
         assert 0 < np.abs(convert_basis(m0, BasisTag.MAJORANA).entries.real - 0.5 * np.eye(n)).max() < 1e-9
         self._assert_reads_small_block(m0)
+        self._assert_reads_small_block(convert_basis(m0, BasisTag.MAJORANA))
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 10, 16, 24, 32, 48])
+    def test_real_flow_matrices(self, n):
+        # the lifted gauge-invariant flow reads its E0 this way; E = I at t = 0 is all signed zeros
+        from fermicov.lindblad import _majorana_flow
+        from fermicov.phase import _convert_entries, _small_block
+
+        specs = [random_semigroup(np.random.default_rng(n), n // 2, 1)]
+        for name in sorted(cli.PRESETS):
+            with contextlib.suppress(errors.StructureViolation):  # below the preset's smallest length
+                specs.append(build_preset_spec(name, {"length": n // 2}))
+        assert len(specs) >= 3
+        for spec in specs:
+            for t in (0.0, 0.7, 1e6):
+                e, _ = _majorana_flow(spec, t)
+                assert e.dtype == float
+                expected = _convert_entries(e, BasisTag.MAJORANA, CA)[: n // 2, : n // 2]
+                self._assert_same_bits(_small_block(e), expected)
 
 
 class TestChainAtLength80:
@@ -757,6 +797,17 @@ class TestCounts:
         assert code == 0
         assert json.loads(out)["preset"]["parameters"]["length"] == 5
         assert '"length": 5,' in out
+
+    @pytest.mark.parametrize("name", ["thermalization", "simple-bath"])
+    @pytest.mark.parametrize("length", [0, -1])
+    def test_lengths_below_one_exit_one(self, name, length, tmp_path):
+        code, out, err = run_cli("model", "build", name, "--set", f"length={length}")
+        assert (code, out) == (1, "")
+        assert err == f"error: malformed preset parameters: length must be at least 1, got {length}\n"
+        doc = {"schema_version": 1, "preset": {"name": name, "parameters": {"length": length}}}
+        code, out, err = run_cli("check", write_model(tmp_path, doc))
+        assert (code, out) == (1, "")
+        assert err == f"error: malformed model file: length must be at least 1, got {length}\n"
 
 
 class TestPresets:

@@ -172,6 +172,30 @@ class TestPropagate:
                     assert np.abs(m_t.entries - m_settled.entries).max() < 1e-12
                     assert np.abs(a_t - a_settled).max() < 1e-12
 
+    @pytest.mark.parametrize("preset", ["two-bath-chain", "xy", "star"])
+    def test_settled_at_the_top_of_the_float_range(self, preset):
+        # t |G|_1 overflows there; the doubling count is read off t's exponent instead
+        spec = cli.build_preset_spec(preset, {})
+        L = spec.mode_count
+        mixed = validate_covariance(0.5 * np.eye(2 * L), MAJ)
+        for m0 in (mixed, random_covariance(np.random.default_rng(34), L)):
+            settled = propagate(spec, m0, 1e4).entries
+            for t in (1e308, np.finfo(float).max):
+                assert np.abs(propagate(spec, m0, t).entries - settled).max() < 1e-12
+
+    def test_step_is_unchanged_where_t_norm_is_finite(self, monkeypatch):
+        # wherever t |G|_1 is finite, k is its exponent and the step is t / 2^k
+        steps = []
+        monkeypatch.setattr(lindblad, "expm", lambda a: steps.append(a) or expm(a))
+        spec = random_semigroup(np.random.default_rng(35), 3, 1)
+        g, y = spec.drift.real, spec.pump.imag
+        block = np.block([[g, y], [np.zeros_like(g), -g.T]])
+        for t in np.geomspace(1e-300, 1e300, 61):
+            steps.clear()
+            lindblad._affine_flow(g, y, t)
+            k = max(int(np.frexp(t * np.abs(g).sum(axis=0).max())[1]), 0)
+            assert len(steps) == 1 and np.array_equal(steps[0], (t / 2**k) * block)
+
     @staticmethod
     def _eigen_flow(spec, m0, t):
         """R(t) from an eigendecomposition G = V diag(lam) V^-1 of the drift."""
@@ -960,6 +984,18 @@ class TestValidateOnce:
         assert all(m.basis is MAJ for m in series)
         assert validate_calls == {"_covariance_from_r": 8}
         assert len(expm_calls) == 1
+
+    @pytest.mark.parametrize("basis", [CA, MAJ])
+    def test_normal_modes_trust_the_covariance(self, validate_calls, basis):
+        # both block-reduce iR and build their Hamiltonians bare; only block_reduce's
+        # computed transform is checked
+        from fermicov import quasifree_state
+
+        m = convert_basis(random_covariance(np.random.default_rng(24), 3), basis)
+        validate_calls.clear()
+        support_decomposition(m)
+        quasifree_state(m)
+        assert validate_calls == {"BogoliubovTransform": 2}
 
     def test_lift_trusts_gauge_invariant_data(self, validate_calls):
         gi = two_bath_chain(ChainParams(length=4, theta1=1.0, theta_l=1.0, n1=1.0, n_l=0.0))[0]

@@ -27,6 +27,16 @@ from conftest import random_qf
 CA = BasisTag.CREATION_ANNIHILATION
 
 
+class TestChainHamiltonian:
+    def test_one_site_is_zero(self):
+        assert np.array_equal(chain_hamiltonian(1), np.zeros((1, 1)))
+
+    @pytest.mark.parametrize("length", [0, -1])
+    def test_fewer_than_one_site_is_rejected(self, length):
+        with pytest.raises(StructureViolation, match="at least one site"):
+            chain_hamiltonian(length)
+
+
 class TestThermalization:
     def test_infinite_temperature(self):
         rng = np.random.default_rng(0)

@@ -4,6 +4,7 @@ import pytest
 from fermicov import (
     BasisTag,
     CovarianceMatrix,
+    FermicovError,
     StructureViolation,
     WordTooLong,
     convert_basis,
@@ -258,10 +259,12 @@ class TestValidation:
 
 
 def _verdict(check):
-    """The message ``check()`` raises, or None when it passes."""
+    """The message ``check()`` raises, or None when it passes.  ``validate``
+    raises StructureViolation, the certificate of a computed state
+    NumericalFailure."""
     try:
         check()
-    except StructureViolation as exc:
+    except FermicovError as exc:
         return str(exc)
     return None
 
