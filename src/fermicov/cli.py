@@ -4,8 +4,10 @@ Model files and reports are JSON: nested key-value objects whose matrices are
 row-major nested arrays with every complex number a two-element [re, im]
 array.  Reports print floats in Python's shortest round-tripping form, the
 ``evolve`` CSV with ``%.17g`` (17 digits: round-tripping, not shortest), so
-write-then-read reproduces every value bit-exactly.  Exit codes: 0 success,
-1 malformed or oversized input, 2 numerical or ergodicity failure.
+write-then-read reproduces every value bit-exactly.  ``evolve`` writes its
+rows a block of stepped states at a time, in memory independent of
+``--samples``.  Exit codes: 0 success, 1 malformed or oversized input, 2
+numerical or ergodicity failure.
 
 ``main`` may be called repeatedly in one process: it builds its parser once,
 and pauses the garbage collector (process-wide) only while parsing a model file.
@@ -18,7 +20,6 @@ import contextlib
 import gc
 import hashlib
 import json
-import math
 import sys
 
 import numpy as np
@@ -31,15 +32,15 @@ from .lindblad import (
     RESIDUAL_TOL,
     ErgodicityReport,
     SemigroupSpec,
+    _series_blocks,
     ergodicity,
     lift_gauge_invariant,
     make_semigroup,
     propagate,
-    propagate_series,
     stationary,
 )
 from .oracle import build_lindbladian, evolve_dense, generator_norm_bound
-from .phase import TAU_NUM, TAU_STRUCT, BasisTag, convert_basis, validate_coupling, validate_qf
+from .phase import TAU_NUM, TAU_STRUCT, BasisTag, _small_block, convert_basis, validate_coupling, validate_qf
 from .quasifree import CovarianceMatrix, small_from_full, validate_covariance
 
 SCHEMA_VERSION = 1
@@ -364,15 +365,17 @@ def cmd_evolve(args, out, err) -> int:
         header.append("distance")
     out.write(",".join(header) + "\n")
     row = ",".join(["%.17g"] * len(header)) + "\n"
-    series = propagate_series(spec, m0, args.t_final / args.samples, args.samples)
-    for j, m_t in enumerate(series):
-        t = args.t_final * j / args.samples
-        small = small_from_full(m_t).entries
-        values = [t if math.isfinite(t) else args.t_final * (j / args.samples)]
-        values += [*small.diagonal().real.tolist(), *small.diagonal(1).imag.tolist()]
+    j = 0
+    for block in _series_blocks(spec, m0, args.t_final / args.samples, args.samples):
+        js = np.arange(j, j + len(block))
+        j += len(block)
+        t = args.t_final * js / args.samples
+        small = _small_block(block)
+        columns = [np.where(np.isfinite(t), t, args.t_final * (js / args.samples))]
+        columns += [small.diagonal(0, 1, 2).real, small.diagonal(1, 1, 2).imag]
         if m_inf is not None:
-            values.append(np.abs(m_t.entries - m_inf.entries).max())
-        out.write(row % tuple(values))
+            columns.append(np.abs(block - m_inf.entries).max(axis=(1, 2)))
+        out.write("".join(row % tuple(values) for values in np.column_stack(columns).tolist()))
     return 0
 
 

@@ -64,6 +64,8 @@ RESIDUAL_TOL = 1e-10
 PIN_TOL = 1e-7
 #: Drift spectral abscissa below this value counts as Hurwitz.
 HURWITZ_TOL = -1e-12
+#: Entries in one block of stepped states, which bounds their memory by n alone.
+_BLOCK_ENTRIES = 2**16
 
 
 @dataclass(frozen=True, eq=False)
@@ -270,7 +272,7 @@ def stationary(spec: SemigroupSpec) -> CovarianceMatrix:
     residual = _max_abs(g @ r + r @ g.T + y)
     if not residual <= RESIDUAL_TOL * max(_max_abs(spec.pump), 1e-300):
         raise NumericalFailure(f"stationary residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e} |P|")
-    return _covariance_from_r(r)
+    return CovarianceMatrix(entries=_covariance_from_r(r), basis=BasisTag.MAJORANA, mode_count=spec.mode_count)
 
 
 def stationary_gauge_invariant(spec: GaugeInvariantSpec) -> SmallCovarianceMatrix:
@@ -317,10 +319,12 @@ def _majorana_flow(spec: SemigroupSpec, t: float) -> tuple[np.ndarray, np.ndarra
     """
     g, y = spec.drift.real, spec.pump.imag
     s, z, k = spec._schur
+    if k == 0:
+        return _affine_flow(g, y, t)
     rounding = 64 * len(g) * np.finfo(float).eps
     u_u, u_c, a_u = z[:, :k], z[:, k:], (s[:k, :k] - s[:k, :k].T) / 2
     left_out = np.hstack([s[:k, :k] - a_u, s[:k, k:]])  # what the split drops from S
-    if k == 0 or _max_abs(left_out) > rounding * _max_abs(g) or _max_abs(u_u.T @ y) > rounding * _max_abs(y):
+    if _max_abs(left_out) > rounding * _max_abs(g) or _max_abs(u_u.T @ y) > rounding * _max_abs(y):
         return _affine_flow(g, y, t)
     e_c, q_c = _affine_flow(s[k:, k:], u_c.T @ y @ u_c, t)
     w, v = scipy.linalg.eigh(1j * a_u)  # i A_u, Hermitian
@@ -330,6 +334,37 @@ def _majorana_flow(spec: SemigroupSpec, t: float) -> tuple[np.ndarray, np.ndarra
     return e, u_c @ q_c @ u_c.T
 
 
+def _stepped_blocks(e: np.ndarray, q: np.ndarray, m: np.ndarray, steps: int) -> Iterator[np.ndarray]:
+    """M(0) = m, trusted, as a block of its own, then the covariances of R_(j+1)
+    = E R_j E^T + Q (antisymmetrized), j < steps, as complex stacks of at most
+    max(1, ``_BLOCK_ENTRIES`` // n^2) states, each certified at once."""
+    yield m[None]
+    n, r = len(m), m.imag
+    size = max(1, _BLOCK_ENTRIES // n**2)
+    for start in range(0, steps, size):
+        rs = np.empty((min(size, steps - start), n, n))
+        for j in range(len(rs)):
+            r = e @ r @ e.T + q
+            rs[j] = r = (r - r.T) / 2
+        try:
+            blocks = [_covariance_from_r(rs)]
+        except NumericalFailure:  # state by state, so that the states before the failing one are yielded
+            blocks = (_covariance_from_r(r_j)[None] for r_j in rs)
+        yield from blocks
+
+
+def _series_blocks(spec: SemigroupSpec, m0: CovarianceMatrix, dt: float, steps: int) -> Iterator[np.ndarray]:
+    """The states of ``propagate_series`` as the stacks of ``_stepped_blocks``."""
+    if not (np.isfinite(dt) and dt >= 0):
+        raise ValueError("propagation time must be nonnegative and finite")
+    if steps < 0:
+        raise ValueError("step count must be nonnegative")
+    if m0.mode_count != spec.mode_count:
+        raise StructureViolation(f"initial covariance has {m0.mode_count} modes, spec has {spec.mode_count}")
+    e, q = _majorana_flow(spec, float(dt))
+    return _stepped_blocks(e, q, convert_basis(m0, BasisTag.MAJORANA).entries, steps)
+
+
 def propagate_series(
     spec: SemigroupSpec, m0: CovarianceMatrix, dt: float, steps: int
 ) -> Iterator[CovarianceMatrix]:
@@ -337,49 +372,37 @@ def propagate_series(
 
     Computes one flow (E, Q) over dt with ``_majorana_flow`` and steps R by
     the semigroup law R((j+1) dt) = E R(j dt) E^T + Q, whether or not the
-    stationary state is unique.  M(0) is ``m0``, trusted by its tag; every
-    stepped state is I/2 + iR with R antisymmetrized, built and checked once
-    by ``_covariance_from_r``, and one that fails its check raises
-    NumericalFailure.  The checks on dt, steps and m0 run when iteration
-    starts.
+    stationary state is unique.  M(0) is ``m0``'s entries, trusted by its tag;
+    the stepped states I/2 + iR, R antisymmetrized, are built and certified a
+    block at a time, so memory stays O(n^2) whatever ``steps`` is.  Each state
+    is a view into its block; one that fails its check raises NumericalFailure
+    after those before it.  The checks run when iteration starts.
     """
-    if not (np.isfinite(dt) and dt >= 0):
-        raise ValueError("propagation time must be nonnegative and finite")
-    if steps < 0:
-        raise ValueError("step count must be nonnegative")
-    if m0.mode_count != spec.mode_count:
-        raise StructureViolation(
-            f"initial covariance has {m0.mode_count} modes, spec has {spec.mode_count}"
-        )
-    e, q = _majorana_flow(spec, float(dt))
-    m = convert_basis(m0, BasisTag.MAJORANA)
-    yield m
-    r = m.entries.imag
-    for _ in range(steps):
-        r = e @ r @ e.T + q
-        r = (r - r.T) / 2
-        yield _covariance_from_r(r)
+    for block in _series_blocks(spec, m0, dt, steps):
+        for m in block:
+            yield CovarianceMatrix(entries=m, basis=BasisTag.MAJORANA, mode_count=spec.mode_count)
 
 
 def propagate(spec: SemigroupSpec, m0: CovarianceMatrix, t: float) -> CovarianceMatrix:
     """Solve the covariance master equation up to time t >= 0.
 
     The single-step case of ``propagate_series``: one flow over t,
-    applied once and validated once.  The result is returned in the basis
+    applied once and certified once.  The result is returned in the basis
     of ``m0``.
     """
-    *_, m_t = propagate_series(spec, m0, t, 1)
+    *_, block = _series_blocks(spec, m0, t, 1)
+    m_t = CovarianceMatrix(entries=block[-1], basis=BasisTag.MAJORANA, mode_count=spec.mode_count)
     return convert_basis(m_t, m0.basis)
 
 
 def propagate_gauge_invariant(
     spec: GaugeInvariantSpec, m0: SmallCovarianceMatrix, a0, t: float
 ) -> tuple[SmallCovarianceMatrix, np.ndarray]:
-    """Small block M0(t) and pairing block A(t), both read off the lifted flow.
+    """Small block M0(t) and pairing block A(t), both read off one lifted flow (E, Q).
 
-    M0(t) is the small block of the lifted ``propagate``; A(t) = E0 A(0) E0^T
-    with E0 the top-left creation/annihilation block of the lifted E, so A = 0
-    stays exactly 0 and A decays whenever the uniqueness criterion holds.
+    M0(t) is the small block of the lifted M0 stepped once; A(t) = E0 A(0) E0^T
+    with E0 the top-left creation/annihilation block of E, so A = 0 stays
+    exactly 0 and A decays whenever the uniqueness criterion holds.
     """
     if not (np.isfinite(t) and t >= 0):
         raise ValueError("propagation time must be nonnegative and finite")
@@ -387,11 +410,10 @@ def propagate_gauge_invariant(
     L = spec.mode_count
     if m0.mode_count != L or a_mat.shape != (L, L):
         raise StructureViolation("block sizes do not match the gauge-invariant spec")
-    lifted = lift_gauge_invariant(spec)
-    m_t = small_from_full(propagate(lifted, full_from_small(m0), t))
-    e, _ = _majorana_flow(lifted, float(t))
+    e, q = _majorana_flow(lift_gauge_invariant(spec), float(t))
+    *_, block = _stepped_blocks(e, q, convert_basis(full_from_small(m0), BasisTag.MAJORANA).entries, 1)
     e0 = _small_block(e)
-    return m_t, e0 @ a_mat @ e0.T
+    return SmallCovarianceMatrix(entries=_small_block(block[-1]), mode_count=L), e0 @ a_mat @ e0.T
 
 
 def real_case_kalman(c_t, c_theta) -> bool:

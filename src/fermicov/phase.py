@@ -97,10 +97,11 @@ def _convert_entries(entries: np.ndarray, source: BasisTag, target: BasisTag) ->
 
 def _small_block(x: np.ndarray) -> np.ndarray:
     """The top-left L x L creation/annihilation block of a Majorana-basis 2L x 2L
-    matrix, elementwise: bit for bit the block ``_convert_entries`` gives."""
-    L = len(x) // 2
-    y = x[:L] + 1j * x[L:]
-    return 0.5 * y[:, :L] - 0.5j * y[:, L:]
+    matrix, or of each in a stack, elementwise: bit for bit the block
+    ``_convert_entries`` gives."""
+    L = x.shape[-1] // 2
+    y = x[..., :L, :] + 1j * x[..., L:, :]
+    return 0.5 * y[..., :L] - 0.5j * y[..., L:]
 
 
 def _check_even_square(m: np.ndarray) -> int:

@@ -64,26 +64,30 @@ class CovarianceMatrix:
         _check_particle_hole(self, tol, message, target=0.5 * np.eye(len(m)))
 
 
-def _covariance_from_r(r: np.ndarray) -> CovarianceMatrix:
-    """The Majorana covariance I/2 + iR of a computed, exactly antisymmetric real R.
+def _covariance_from_r(r: np.ndarray) -> np.ndarray:
+    """Majorana covariance entries I/2 + iR of a computed, exactly
+    antisymmetric real R, or of each R_j of a stack.
 
-    Only its spectrum can fail: it lies in [0, 1] within tol exactly when
-    |R|_2 <= 1/2 + tol, which a real Cholesky of (1/2 + tol)^2 I - R R^T
-    certifies for a finite R (LAPACK factors NaN without complaint).  It is
-    numpy's, as scipy's OpenBLAS threads contend with numpy's.  When either
-    check fails, ``validate`` decides and names the residual; a computed state
-    that fails it is a numerical failure, not malformed input, so its
+    Only the spectrum can fail: it lies in [0, 1] within tol exactly when
+    |R_j|_2 <= 1/2 + tol, which one (batched) real Cholesky of (1/2 + tol)^2 I
+    - R_j R_j^T certifies for a finite R (LAPACK factors NaN without
+    complaint); numpy's, as scipy's OpenBLAS threads contend with numpy's.
+    The stack's tol is each state's own when no entry exceeds 1; else the
+    state with the largest entry M > 1 fails, as |R_j|_2 >= M > 1/2 +
+    TAU_STRUCT M.  Otherwise ``validate`` decides state by state; a computed
+    state that fails it is a numerical failure, not malformed input, so its
     StructureViolation is re-raised as NumericalFailure with the same message.
     """
-    m = CovarianceMatrix(entries=0.5 * np.eye(len(r)) + 1j * r, basis=BasisTag.MAJORANA, mode_count=len(r) // 2)
+    m = 0.5 * np.eye(r.shape[-1]) + 1j * r
     if np.isfinite(r).all():
         with contextlib.suppress(np.linalg.LinAlgError):
-            np.linalg.cholesky((0.5 + _tol(r)) ** 2 * np.eye(len(r)) - r @ r.T)
+            np.linalg.cholesky((0.5 + _tol(r)) ** 2 * np.eye(r.shape[-1]) - r @ r.mT)
             return m
-    try:
-        m.validate()
-    except StructureViolation as exc:
-        raise NumericalFailure(str(exc)) from exc
+    for m_j in m.reshape(-1, *m.shape[-2:]):
+        try:
+            CovarianceMatrix(entries=m_j, basis=BasisTag.MAJORANA, mode_count=len(m_j) // 2).validate()
+        except StructureViolation as exc:
+            raise NumericalFailure(str(exc)) from exc
     return m
 
 

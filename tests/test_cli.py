@@ -336,6 +336,7 @@ class TestSteppedSeries:
 
         code, out, _ = run_cli("model", "build", name)
         path = write_model(tmp_path, json.loads(out))
+        n = 2 * load_model(path)[0].mode_count
         calls = Counter()
         monkeypatch.setattr(fermicov.lindblad, "expm", lambda a: calls.update(["expm"]) or expm(a))
 
@@ -343,19 +344,22 @@ class TestSteppedSeries:
             calls["validate"] += 1
             return _original(self, *args, **kwargs)
 
-        def certified(*args, _original=fermicov.lindblad._covariance_from_r):
-            calls["_covariance_from_r"] += 1
-            return _original(*args)
+        def certified(r, _original=fermicov.lindblad._covariance_from_r):
+            calls[r.shape] += 1
+            return _original(r)
 
         monkeypatch.setattr(CovarianceMatrix, "validate", counted)
         monkeypatch.setattr(fermicov.lindblad, "_covariance_from_r", certified)
         samples = 30
         _evolve_rows(path, "mixed", "5", samples)
         # the mixed start and, for a unique model, the stationary state (for the
-        # distance column) are checked once each; then one check per stepped row.
+        # distance column, one single-state certificate) are checked once each;
+        # then one batched certificate covers the block of all 30 stepped rows.
         # Only the mixed start, caller data, goes through ``validate``: every
         # computed state is certified without falling back to it.
-        assert calls == {"expm": 1, "validate": 1, "_covariance_from_r": model_checks - 1 + samples}
+        expected = Counter({"expm": 1, "validate": 1, (samples, n, n): 1})
+        expected[(n, n)] = model_checks - 1
+        assert calls == +expected
 
     def test_long_time_star_rows_stay_put(self, tmp_path):
         # the star's uncontrolled modes rotate exactly, so a late row equals a settled one
@@ -364,6 +368,66 @@ class TestSteppedSeries:
         settled = _evolve_rows(path, "vacuum", "1e4", 1)[1, 1:]
         late = _evolve_rows(path, "vacuum", "1e10", 1)[1, 1:]
         assert np.abs(late - settled).max() < 1e-12
+
+
+class TestBlocks:
+    """evolve reads its rows a block of stepped states at a time."""
+
+    @pytest.mark.parametrize("name,start", [("two-bath-chain", "vacuum"), ("star", "mixed"), ("xy", "stationary")])
+    def test_csv_does_not_depend_on_the_block_size(self, name, start, tmp_path, monkeypatch):
+        import fermicov.lindblad
+
+        path = write_model(tmp_path, json.loads(run_cli("model", "build", name, "--set", "length=4")[1]))
+        outputs = []
+        for states in (1, 7, None):  # None: the whole series in one block
+            if states is not None:
+                monkeypatch.setattr(fermicov.lindblad, "_BLOCK_ENTRIES", states * 8 * 8)
+            code, out, err = run_cli("evolve", path, "--m0", start, "--t-final", "6", "--samples", "40")
+            assert (code, err) == (0, "")
+            outputs.append(out)
+        assert len(outputs[0].splitlines()) == 42
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    @pytest.mark.parametrize("states", [2, 7, None])
+    def test_failure_mid_series_prints_the_rows_before_it(self, states, tmp_path, monkeypatch):
+        # R_k = 0.15 k J: rows 0-3 have |R|_2 <= 0.45, the state at t = 4 has 0.6
+        import fermicov.lindblad
+        from fermicov import CovarianceMatrix
+
+        path = write_model(tmp_path, json.loads(run_cli("model", "build", "two-bath-chain")[1]))
+        n = 10
+        j = np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(5))  # antisymmetric, unit norm
+        monkeypatch.setattr(fermicov.lindblad, "_majorana_flow", lambda spec, t: (np.eye(n), 0.15 * j))
+        if states is not None:
+            monkeypatch.setattr(fermicov.lindblad, "_BLOCK_ENTRIES", states * n * n)
+        code, out, err = run_cli("evolve", path, "--m0", "mixed", "--t-final", "40", "--samples", "40")
+        r = np.zeros((n, n))
+        for _ in range(4):
+            r = r + 0.15 * j
+            r = (r - r.T) / 2
+        with pytest.raises(errors.StructureViolation) as expected:
+            CovarianceMatrix(entries=0.5 * np.eye(n) + 1j * r, basis=BasisTag.MAJORANA, mode_count=5).validate()
+        assert code == 2
+        assert err == f"error: NumericalFailure: {expected.value}\n"
+        lines = out.splitlines()
+        assert lines[0].startswith("t,occ_1,")
+        assert [float(line.split(",")[0]) for line in lines[1:]] == [0.0, 1.0, 2.0, 3.0]
+
+    def test_memory_does_not_grow_with_the_sample_count(self, tmp_path):
+        import tracemalloc
+
+        path = write_model(tmp_path, json.loads(run_cli("model", "build", "two-bath-chain", "--set", "length=32")[1]))
+        peaks = []
+        for samples in (20, 2000):
+            with open(os.devnull, "w") as sink:
+                tracemalloc.start()
+                try:
+                    argv = ["evolve", path, "--m0", "mixed", "--t-final", "10", "--samples", str(samples)]
+                    assert main(argv, out=sink, err=sink) == 0
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+        assert peaks[1] <= 2 * peaks[0]
 
 
 class TestObservables:

@@ -44,7 +44,7 @@ import fermicov.lindblad as lindblad
 from fermicov import cli
 from fermicov.lindblad import HURWITZ_TOL
 from fermicov.models import ChainParams, XYParams, chain_hamiltonian, xy_chain
-from fermicov.phase import TAU_NUM, _max_abs, _scale, _tol
+from fermicov.phase import TAU_NUM, TAU_STRUCT, _max_abs, _scale, _tol
 
 from conftest import random_coupling, random_covariance, random_qf, random_semigroup
 
@@ -921,18 +921,54 @@ class TestSteppedStateCheck:
         assert str(raised.value).startswith(start)
 
 
+class TestSteppedBlocks:
+    """A block of stepped states gets the verdict its states get one by one."""
+
+    @pytest.mark.parametrize("offset", [-1e-12, 1e-12])
+    @pytest.mark.parametrize("first_bad", [1, 4, 7, 8])
+    def test_states_before_the_failing_one_are_yielded(self, first_bad, offset, monkeypatch):
+        # blocks of 7 stepped states; |R_k|_2 = k |Q|_2 puts R_first_bad at
+        # 1/2 + tol + offset: first, middle or last of the first block, or first of the second
+        n = 6
+        j = np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(3))  # antisymmetric, unit norm
+        q = (0.5 + TAU_STRUCT + offset) / first_bad * j
+        monkeypatch.setattr(lindblad, "_majorana_flow", lambda spec, t: (np.eye(n), q))
+        monkeypatch.setattr(lindblad, "_BLOCK_ENTRIES", 7 * n * n)
+        m0 = validate_covariance(0.5 * np.eye(n), MAJ)
+        reference, r = [m0.entries], m0.entries.imag
+        while True:  # one state at a time, as ``validate`` sees it
+            r = np.eye(n) @ r @ np.eye(n).T + q
+            r = (r - r.T) / 2
+            bare = CovarianceMatrix(entries=0.5 * np.eye(n) + 1j * r, basis=MAJ, mode_count=3)
+            try:
+                bare.validate()
+            except StructureViolation as exc:
+                message = str(exc)
+                break
+            reference.append(bare.entries)
+        assert len(reference) == first_bad + (offset < 0)
+        seen = []
+        with pytest.raises(NumericalFailure) as raised:
+            for m in propagate_series(random_semigroup(np.random.default_rng(26), 3, 1), m0, 0.1, 12):
+                seen.append(m.entries)
+        assert str(raised.value) == message
+        assert len(seen) == len(reference)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(seen, reference))
+
+
 class TestValidateOnce:
     """A tagged value is checked where it is built; its consumers trust the tag."""
 
     @pytest.fixture
     def validate_calls(self, monkeypatch):
-        """Checks made, by the class validated; a computed state certified by
-        ``_covariance_from_r`` counts once, under that name."""
+        """Checks made, by the class validated; each certificate of computed
+        states by ``_covariance_from_r`` counts once, under that name and the
+        shape of the one state or the stack of states it certifies."""
         calls = Counter()
 
-        def certified(*args, _original=lindblad._covariance_from_r):
-            calls["_covariance_from_r"] += 1
-            return _original(*args)
+        def certified(r, _original=lindblad._covariance_from_r):
+            calls[("_covariance_from_r", r.shape)] += 1
+            return _original(r)
 
         monkeypatch.setattr(lindblad, "_covariance_from_r", certified)
         for cls in (
@@ -968,13 +1004,14 @@ class TestValidateOnce:
         validate_calls.clear()
         out = propagate(spec, m0, 1.0)
         assert out.basis is CA
-        assert validate_calls == {"_covariance_from_r": 1}
+        # one certificate of a block of one state, and no fallback to ``validate``
+        assert validate_calls == {("_covariance_from_r", (1, 6, 6)): 1}
 
-    def test_series_checks_each_stepped_state_once(self, validate_calls, monkeypatch):
-        import fermicov.lindblad
-
+    @staticmethod
+    def _series_checks(monkeypatch, validate_calls):
+        """The checks and exponentials of an 8-step series at L = 3."""
         expm_calls = []
-        monkeypatch.setattr(fermicov.lindblad, "expm", lambda a: expm_calls.append(1) or expm(a))
+        monkeypatch.setattr(lindblad, "expm", lambda a: expm_calls.append(1) or expm(a))
         rng = np.random.default_rng(23)
         spec = random_semigroup(rng, 3, 1)
         m0 = random_covariance(rng, 3)
@@ -982,8 +1019,36 @@ class TestValidateOnce:
         series = list(propagate_series(spec, m0, 0.25, 8))
         assert len(series) == 9
         assert all(m.basis is MAJ for m in series)
-        assert validate_calls == {"_covariance_from_r": 8}
         assert len(expm_calls) == 1
+        return validate_calls
+
+    def test_series_checks_each_stepped_state_once(self, validate_calls, monkeypatch):
+        # one flow, then one batched certificate of the block of all 8 stepped
+        # states; valid states never reach ``validate``
+        assert self._series_checks(monkeypatch, validate_calls) == {("_covariance_from_r", (8, 6, 6)): 1}
+
+    def test_series_blocks_hold_at_most_block_entries(self, validate_calls, monkeypatch):
+        monkeypatch.setattr(lindblad, "_BLOCK_ENTRIES", 3 * 36 + 35)  # three 6 x 6 states
+        calls = self._series_checks(monkeypatch, validate_calls)
+        assert calls == {("_covariance_from_r", (3, 6, 6)): 2, ("_covariance_from_r", (2, 6, 6)): 1}
+
+    def test_stationary_checks_its_one_state(self, validate_calls):
+        spec = cli.build_preset_spec("xy", {})
+        validate_calls.clear()
+        stationary(spec)
+        assert validate_calls == {("_covariance_from_r", (8, 8)): 1}
+
+    def test_gauge_invariant_propagation_takes_one_flow(self, validate_calls, monkeypatch):
+        # M0(t) and the pairing block's E0 come from the same lifted (E, Q)
+        expm_calls = []
+        monkeypatch.setattr(lindblad, "expm", lambda a: expm_calls.append(a.shape) or expm(a))
+        gi = two_bath_chain(ChainParams(length=8, theta1=1.0, theta_l=1.0, n1=1.0, n_l=0.0))[0]
+        m0 = validate_small_covariance(0.5 * np.eye(8))
+        validate_calls.clear()
+        for t in (0.0, 3.0):
+            propagate_gauge_invariant(gi, m0, np.zeros((8, 8)), t)
+        assert expm_calls == [(32, 32), (32, 32)]
+        assert validate_calls == {("_covariance_from_r", (1, 16, 16)): 2}
 
     @pytest.mark.parametrize("basis", [CA, MAJ])
     def test_normal_modes_trust_the_covariance(self, validate_calls, basis):

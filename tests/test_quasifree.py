@@ -343,6 +343,41 @@ class TestCovarianceFromR:
         # one reference check per state, plus one fallback per rejected state
         assert len(validate_calls) == 12 + rejected
 
+    @staticmethod
+    def _stack(rng, n, count):
+        """``count`` exactly antisymmetric states with |R|_2 = 1/2 + tol - 1e-12."""
+        states = [_antisymmetric(rng, n, 0.5) for _ in range(count)]
+        states = [(0.5 + TAU_STRUCT - 1e-12) / np.linalg.norm(r, 2) * r for r in states]
+        return np.stack([(r - r.T) / 2 for r in states])
+
+    def test_valid_stack_is_certified_at_once(self, validate_calls):
+        stack = self._stack(np.random.default_rng(60), 6, 7)
+        entries = _covariance_from_r(stack)
+        assert validate_calls == []
+        for r, m in zip(stack, entries):
+            assert m.tobytes() == _covariance_from_r(r).tobytes()  # bit for bit the single-state build
+
+    @pytest.mark.parametrize("position", [0, 3, 6])
+    @pytest.mark.parametrize("bad", ["over", "nan", "inf"])
+    def test_stack_verdict_is_its_failing_states(self, position, bad):
+        # the failing state sits first, in the middle or last of a block of 7
+        rng = np.random.default_rng(61 + position)
+        stack = self._stack(rng, 6, 7)
+        if bad == "over":
+            r = _antisymmetric(rng, 6, 0.5)
+            r = (0.5 + TAU_STRUCT + 1e-12) / np.linalg.norm(r, 2) * r
+            stack[position] = (r - r.T) / 2
+        else:
+            value = {"nan": np.nan, "inf": np.inf}[bad]
+            stack[position, 0, 1], stack[position, 1, 0] = value, -value
+        with np.errstate(invalid="ignore"):
+            verdicts = [self._agrees(r) for r in stack]
+            verdict = _verdict(lambda: _covariance_from_r(stack))
+        assert [v is None for v in verdicts] == [j != position for j in range(7)]
+        assert verdict == verdicts[position]
+        start = "covariance eigenvalues leave [0, 1]" if bad == "over" else "covariance is not Hermitian"
+        assert verdict.startswith(start)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_r_is_rejected_as_validate_rejects_it(self, bad):
         # LAPACK factors a NaN matrix without complaint: finiteness is checked first

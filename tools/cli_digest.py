@@ -1,0 +1,111 @@
+"""One SHA-256 over the exit codes, stdout and stderr of a fixed matrix of CLI runs.
+
+Run it from a checkout on two versions of the code: equal digests mean
+byte-identical CLI output, including the rows printed before a state fails.
+
+    python tools/cli_digest.py          # prints the digest and the exit-code tally
+    python tools/cli_digest.py -v       # also one line per case
+
+The runs go through ``fermicov.cli.main`` in one process, with the
+``fermicov`` of this checkout's ``src/``.  Model files are written to a
+temporary directory, whose path is masked in every output.  The cases:
+
+* the six presets at their default length and at length 7, each with
+  ``check``, ``stationary``, ``stationary --full-matrix``, and
+  ``evolve --samples 40`` from the mixed, vacuum and stationary starts at
+  ``--t-final`` 10, 1e12 and 1e308;
+* the stiff ``one-end-chain`` at theta = 1e3, 1e5 and 1e7, with the same
+  commands (at theta = 1e5 the vacuum start exits 2 after one row);
+* one series that fails in the middle of its first block: the flow is
+  replaced by E = I and Q = 0.15 J, with J = [[0, I], [-I, 0]], so from the
+  mixed start the rows at t = 0 to 3 print and the state at t = 4 fails.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import os
+import sys
+import tempfile
+from pathlib import Path
+from unittest import mock
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import numpy as np  # noqa: E402
+
+import fermicov.lindblad  # noqa: E402
+from fermicov.cli import PRESETS, main  # noqa: E402
+
+STARTS = ("mixed", "vacuum", "stationary")
+T_FINALS = ("10", "1e12", "1e308")
+
+
+def _commands(path: str) -> list[list[str]]:
+    commands = [["check", path], ["stationary", path], ["stationary", path, "--full-matrix"]]
+    for start in STARTS:
+        for t_final in T_FINALS:
+            commands.append(["evolve", path, "--m0", start, "--t-final", t_final, "--samples", "40"])
+    return commands
+
+
+def _models() -> list[tuple[str, list[str]]]:
+    models = []
+    for name in sorted(PRESETS):
+        models.append((name, []))
+        models.append((f"{name} length=7", ["--set", "length=7"]))
+    for theta in ("1e3", "1e5", "1e7"):
+        models.append((f"one-end-chain theta={theta}", ["--set", f"theta={theta}"]))
+    return models
+
+
+def _run(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    code = main(argv, out=out, err=err)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _mid_series_flow(spec, t):
+    zero, eye = np.zeros((spec.mode_count, spec.mode_count)), np.eye(spec.mode_count)
+    return np.eye(2 * spec.mode_count), 0.15 * np.block([[zero, eye], [-eye, zero]])
+
+
+def cases(directory: str):
+    """Yield (label, exit code, stdout, stderr) for every case, paths masked."""
+
+    def mask(text: str) -> str:
+        return text.replace(directory, "<tmp>")
+
+    path = os.path.join(directory, "model.json")
+    for label, options in _models():
+        code, out, err = _run(["model", "build", label.split()[0], *options, "-o", path])
+        yield f"model build {label}", code, out, err
+        for argv in _commands(path):
+            code, out, err = _run(argv)
+            yield mask(" ".join([label, *argv])), code, mask(out), mask(err)
+    _run(["model", "build", "two-bath-chain", "-o", path])
+    with mock.patch.object(fermicov.lindblad, "_majorana_flow", _mid_series_flow):
+        code, out, err = _run(["evolve", path, "--m0", "mixed", "--t-final", "40", "--samples", "40"])
+    yield "two-bath-chain evolve with E = I, Q = 0.15 J", code, mask(out), mask(err)
+
+
+def main_digest(verbose: bool) -> str:
+    digest = hashlib.sha256()
+    tally: dict[int, int] = {}
+    with tempfile.TemporaryDirectory() as directory:
+        for label, code, out, err in cases(directory):
+            for part in (str(code), out, err):
+                data = part.encode()
+                digest.update(len(data).to_bytes(8, "little") + data)
+            tally[code] = tally.get(code, 0) + 1
+            if verbose:
+                print(f"{code} {len(out.splitlines()):3d} lines  {label}")
+    print(f"{sum(tally.values())} cases, exit codes {dict(sorted(tally.items()))}")
+    return digest.hexdigest()
+
+
+if __name__ == "__main__":
+    print(main_digest("-v" in sys.argv[1:]))
