@@ -16,6 +16,10 @@ oracle's jump operators; covariances are gathers of rho along g_i g_j.  The
 rest (Gibbs states, tensor embeddings, partial traces) is exact dense linear
 algebra, the brute-force check of the covariance machinery.  Sizes are capped
 at ``N_DENSE_MAX`` total modes.
+
+A ``DenseState`` is validated once, as in ``phase``: a function that receives one
+checks only its shape and mode count.  Gibbs states and partial traces are states
+by construction; ``covariance_of`` tags its result through ``validate_covariance``.
 """
 
 from __future__ import annotations
@@ -263,7 +267,7 @@ def embed_b1sb2(op_b1: DenseOperator, op_s: DenseOperator, op_br: DenseOperator)
 
 def partial_trace_bath(rho: DenseState, system_modes: int, bath_modes: int) -> DenseState:
     """Trace out the bath factor of a state on the canonical joint space."""
-    rho.validate()
+    rho.op.validate()
     if rho.op.mode_count != system_modes + bath_modes:
         raise StructureViolation(
             f"state has {rho.op.mode_count} modes, expected {system_modes + bath_modes}"
@@ -281,7 +285,7 @@ def covariance_of(rho: DenseState) -> CovarianceMatrix:
     permutation taking row r to column columns_j[columns_i[r]] with phase
     phases_i[r] phases_j[columns_i[r]], so each trace is one gather of rho.
     """
-    rho.validate()
+    rho.op.validate()
     n = rho.op.mode_count
     columns, phases = _majorana_rows(n)
     ends = columns[:, columns]  # [j, i, r], like signs

@@ -20,7 +20,8 @@ Kalman rank, their leading k x k block decides convergence, the whole form
 feeds the stationary solve, and its leading columns span the near-axis
 subspace V_u, which the flow rotates exactly when it is dark.
 Gauge-invariant L x L data decides only its own Kalman verdict, on the
-complex Schur form of its drift; every state is read off the lifted spec.
+complex Schur form of its drift; every state is read off the lifted spec,
+which each gauge-invariant spec builds once, with its Schur form.
 """
 
 from __future__ import annotations
@@ -111,6 +112,19 @@ class GaugeInvariantSpec:
     def _schur(self) -> tuple:
         return _near_axis(_drift(self.t_s0, self.theta0))
 
+    @cached_property
+    def _lifted(self) -> SemigroupSpec:
+        """Valid by construction: Majorana blocks i*(real), and T's Hermiticity residual is T0's."""
+        L, K = self.mode_count, self.bath_modes
+        zl, zk = np.zeros((L, L)), np.zeros((L, K))
+        t_c = np.block([[self.t_s0, zl], [zl, -self.t_s0.conj()]])
+        th_c = np.block([[self.theta0, zk], [zk, -self.theta0.conj()]])
+        return make_semigroup(
+            HamiltonianMatrix(entries=t_c, basis=BasisTag.CREATION_ANNIHILATION, mode_count=L),
+            CouplingMatrix(entries=th_c, basis=BasisTag.CREATION_ANNIHILATION, system_modes=L, bath_modes=K),
+            full_from_small(self.m_b0),
+        )
+
 
 @dataclass(frozen=True)
 class ErgodicityReport:
@@ -165,20 +179,8 @@ def make_gauge_invariant(t_s0, theta0, m_b0) -> GaugeInvariantSpec:
 
 
 def lift_gauge_invariant(gi: GaugeInvariantSpec) -> SemigroupSpec:
-    """Embed L x L gauge-invariant data into the full 2L-dimensional spec.
-
-    Valid by construction: in the Majorana basis both blocks have real part
-    exactly 0, and the lifted T's Hermiticity residual is T0's, checked already."""
-    L, K = gi.mode_count, gi.bath_modes
-    zl = np.zeros((L, L))
-    zk = np.zeros((L, K))
-    t_c = np.block([[gi.t_s0, zl], [zl, -gi.t_s0.conj()]])
-    th_c = np.block([[gi.theta0, zk], [zk, -gi.theta0.conj()]])
-    return make_semigroup(
-        HamiltonianMatrix(entries=t_c, basis=BasisTag.CREATION_ANNIHILATION, mode_count=L),
-        CouplingMatrix(entries=th_c, basis=BasisTag.CREATION_ANNIHILATION, system_modes=L, bath_modes=K),
-        full_from_small(gi.m_b0),
-    )
+    """Embed L x L gauge-invariant data into the full 2L-dimensional spec, once per spec."""
+    return gi._lifted
 
 
 def _schur_eigenvalues(s: np.ndarray) -> np.ndarray:

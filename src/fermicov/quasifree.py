@@ -70,8 +70,8 @@ def _covariance_from_r(r: np.ndarray) -> np.ndarray:
 
     Only the spectrum can fail: it lies in [0, 1] within tol exactly when
     |R_j|_2 <= 1/2 + tol, which one (batched) real Cholesky of (1/2 + tol)^2 I
-    - R_j R_j^T certifies for a finite R (LAPACK factors NaN without
-    complaint); numpy's, as scipy's OpenBLAS threads contend with numpy's.
+    - R_j R_j^T certifies for a finite R, as LAPACK factors NaN without
+    complaint.  It is numpy's Cholesky, since scipy's OpenBLAS pool contends with numpy's.
     The stack's tol is each state's own when no entry exceeds 1; else the
     state with the largest entry M > 1 fails, as |R_j|_2 >= M > 1/2 +
     TAU_STRUCT M.  Otherwise ``validate`` decides state by state; a computed

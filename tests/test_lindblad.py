@@ -1119,10 +1119,11 @@ class TestOneSchurForm:
         assert decompositions == [("schur", spec.drift.shape)] * 2 + [("eigh", (k, k))]
 
     def test_gauge_invariant_chain_reads_the_lifted_form(self, decompositions):
-        # the solve and the flow of L x L data use the lift's 2L x 2L form, one per lift
+        # the solve and the flow of L x L data share the spec's one lift and its 2L x 2L form
         L = 5
         gi, _ = two_bath_chain(ChainParams(length=L, theta1=1.0, theta_l=1.0, n1=1.0, n_l=0.0))
         decompositions.clear()
         m0 = stationary_gauge_invariant(gi)
         propagate_gauge_invariant(gi, m0, np.zeros((L, L)), 0.5)
-        assert decompositions == [("schur", (2 * L, 2 * L))] * 2
+        assert decompositions == [("schur", (2 * L, 2 * L))]
+        assert lift_gauge_invariant(gi) is lift_gauge_invariant(gi)

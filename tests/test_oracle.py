@@ -9,6 +9,7 @@ from fermicov import (
     IsomorphismTag,
     NotPSD,
     NumericalFailure,
+    StructureViolation,
     TooLarge,
     build_lindbladian,
     convert_basis,
@@ -18,6 +19,7 @@ from fermicov import (
     field_operator,
     majorana_ops,
     make_semigroup,
+    partial_trace_bath,
     propagate,
     quadratic_hamiltonian,
     quasifree_state,
@@ -28,7 +30,7 @@ from fermicov import (
     wick_moment,
     xy_chain,
 )
-from fermicov import oracle
+from fermicov import fock, oracle
 from fermicov.models import XYParams
 from fermicov.oracle import apply_generator, generator_norm_bound, superoperator
 
@@ -334,3 +336,61 @@ class TestRepeatedInteraction:
             repeated_interaction_step(
                 spec, DenseState(op=DenseOperator(entries=odd, mode_count=1)), 0.1
             )
+
+
+class TestDenseStatesValidatedOnce:
+    """A received DenseState is trusted; each computed one is certified once."""
+
+    @pytest.fixture
+    def validate_calls(self, monkeypatch):
+        calls = []
+
+        def counted(self, tol=1e-10, _original=fock.DenseState.validate):
+            calls.append((self, self.op.mode_count, tol))
+            return _original(self, tol)
+
+        monkeypatch.setattr(fock.DenseState, "validate", counted)
+        return calls
+
+    @staticmethod
+    def _xy():
+        return xy_chain(XYParams(length=2, kappa=0.7, h=0.1, theta1=1.0, theta2=0.9, bath1=0.8, bath2=0.2))
+
+    def test_covariance_and_partial_trace_trust_their_state(self, validate_calls):
+        rho = quasifree_state(random_covariance(np.random.default_rng(41), 3))
+        validate_calls.clear()
+        covariance_of(rho)
+        covariance_of(partial_trace_bath(rho, 2, 1))
+        assert validate_calls == []
+
+    def test_evolve_and_stationary_certify_their_result_once(self, validate_calls):
+        rng = np.random.default_rng(42)
+        lind = build_lindbladian(random_semigroup(rng, 2, 1), IsomorphismTag.E_SB)
+        rho0 = quasifree_state(random_covariance(rng, 2))
+        validate_calls.clear()
+        out = evolve_dense(lind, rho0, 0.7)
+        assert validate_calls == [(out, 2, 1e-8)]
+        validate_calls.clear()
+        out = stationary_dense(lind)
+        assert validate_calls == [(out, 2, 1e-8)]
+
+    @pytest.mark.parametrize("iso", list(IsomorphismTag))
+    def test_each_step_certifies_its_system_state_once(self, validate_calls, iso):
+        spec = self._xy()
+        omega = quasifree_state(spec.m_b)
+        rho = quasifree_state(random_covariance(np.random.default_rng(43), 2, beta=0.9))
+        validate_calls.clear()
+        step = repeated_interaction_step(spec, omega, 0.1, iso=iso)
+        assert validate_calls == []
+        for _ in range(3):
+            rho = step(rho)
+            assert validate_calls.pop() == (rho, 2, 1e-10)
+            assert validate_calls == []  # in particular none on the 4-mode joint state
+
+    def test_step_result_check_catches_a_non_unitary_step(self, monkeypatch):
+        spec = self._xy()
+        omega = quasifree_state(spec.m_b)
+        monkeypatch.setattr(oracle, "expm", lambda a: 1.1 * np.eye(len(a)))
+        step = repeated_interaction_step(spec, omega, 0.1)
+        with pytest.raises(StructureViolation, match="state trace is not 1"):
+            step(quasifree_state(random_covariance(np.random.default_rng(44), 2)))

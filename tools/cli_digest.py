@@ -18,7 +18,12 @@ temporary directory, whose path is masked in every output.  The cases:
   commands (at theta = 1e5 the vacuum start exits 2 after one row);
 * one series that fails in the middle of its first block: the flow is
   replaced by E = I and Q = 0.15 J, with J = [[0, I], [-I, 0]], so from the
-  mixed start the rows at t = 0 to 3 print and the state at t = 4 fails.
+  mixed start the rows at t = 0 to 3 print and the state at t = 4 fails;
+* ``oracle-compare --t 1`` with each ``--iso`` (E_SB, E_BS, E_B1SB2) on the six
+  presets at length 3 (``thermalization`` at 2, as its bath grows with L and
+  the command takes at most two bath modes), where E_B1SB2 exits 1 on a
+  one-mode bath, and on the default-length ``two-bath-chain``, which exits 1
+  as too large.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ from fermicov.cli import PRESETS, main  # noqa: E402
 
 STARTS = ("mixed", "vacuum", "stationary")
 T_FINALS = ("10", "1e12", "1e308")
+ISOS = ("E_SB", "E_BS", "E_B1SB2")
 
 
 def _commands(path: str) -> list[list[str]]:
@@ -50,6 +56,11 @@ def _commands(path: str) -> list[list[str]]:
         for t_final in T_FINALS:
             commands.append(["evolve", path, "--m0", start, "--t-final", t_final, "--samples", "40"])
     return commands
+
+
+def _oracle_models() -> list[tuple[str, list[str]]]:
+    models = [(name, ["--set", f"length={2 if name == 'thermalization' else 3}"]) for name in sorted(PRESETS)]
+    return models + [("two-bath-chain", [])]
 
 
 def _models() -> list[tuple[str, list[str]]]:
@@ -90,6 +101,12 @@ def cases(directory: str):
     with mock.patch.object(fermicov.lindblad, "_majorana_flow", _mid_series_flow):
         code, out, err = _run(["evolve", path, "--m0", "mixed", "--t-final", "40", "--samples", "40"])
     yield "two-bath-chain evolve with E = I, Q = 0.15 J", code, mask(out), mask(err)
+    for name, options in _oracle_models():
+        _run(["model", "build", name, *options, "-o", path])
+        for iso in ISOS:
+            argv = ["oracle-compare", path, "--t", "1", "--iso", iso]
+            code, out, err = _run(argv)
+            yield mask(" ".join([name, *options[1:], *argv])), code, mask(out), mask(err)
 
 
 def main_digest(verbose: bool) -> str:
