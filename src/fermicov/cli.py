@@ -376,6 +376,7 @@ def cmd_evolve(args, out, err) -> int:
         if m_inf is not None:
             columns.append(np.abs(block - m_inf.entries).max(axis=(1, 2)))
         out.write("".join(row % tuple(values) for values in np.column_stack(columns).tolist()))
+        del block, small, columns  # before the next block is built
     return 0
 
 

@@ -343,16 +343,16 @@ def _stepped_blocks(e: np.ndarray, q: np.ndarray, m: np.ndarray, steps: int) -> 
     yield m[None]
     n, r = len(m), m.imag
     size = max(1, _BLOCK_ENTRIES // n**2)
+    rs = np.empty((min(size, steps), n, n))  # one real stack for every block
     for start in range(0, steps, size):
-        rs = np.empty((min(size, steps - start), n, n))
-        for j in range(len(rs)):
+        block = rs[: min(size, steps - start)]
+        for j in range(len(block)):
             r = e @ r @ e.T + q
-            rs[j] = r = (r - r.T) / 2
+            block[j] = r = (r - r.T) / 2
         try:
-            blocks = [_covariance_from_r(rs)]
+            yield _covariance_from_r(block)
         except NumericalFailure:  # state by state, so that the states before the failing one are yielded
-            blocks = (_covariance_from_r(r_j)[None] for r_j in rs)
-        yield from blocks
+            yield from (_covariance_from_r(r_j)[None] for r_j in block)
 
 
 def _series_blocks(spec: SemigroupSpec, m0: CovarianceMatrix, dt: float, steps: int) -> Iterator[np.ndarray]:
@@ -428,9 +428,9 @@ def real_case_kalman(c_t, c_theta) -> bool:
     -i m m^T - 1/2 C C^T is Hurwitz, decided on its Schur form as in
     ``ergodicity``, with m scaled to |m|_2 = 1 and C to |C|_2 = 1.
     """
-    a = np.asarray(c_t, dtype=float)
-    b = np.asarray(c_theta, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or b.ndim != 2 or b.shape[0] != a.shape[0]:
+    a = _as_matrix(c_t, float)
+    b = _as_matrix(c_theta, float)
+    if a.shape[0] != a.shape[1] or b.shape[0] != a.shape[0]:
         raise StructureViolation(f"incompatible shapes {a.shape}, {b.shape}")
     a_hat = a / (np.linalg.norm(a, 2) or 1.0)
 

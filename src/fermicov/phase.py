@@ -112,9 +112,11 @@ def _check_even_square(m: np.ndarray) -> int:
 
 
 def _check_hermitian(m: np.ndarray, what: str, tol: float) -> np.ndarray:
-    """Reject m unless it is Hermitian within ``tol``; return (m + m*)/2.
+    """Reject m unless it is nonempty, square and Hermitian within ``tol``; return (m + m*)/2.
 
     A NaN residual (from an overflowed computation) is rejected too."""
+    if m.shape[0] != m.shape[1] or m.size == 0:
+        raise StructureViolation(f"{what} must be a nonempty square matrix, got shape {m.shape}")
     adj = m.conj().T
     res = _max_abs(m - adj)
     if not res <= tol:

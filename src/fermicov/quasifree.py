@@ -14,7 +14,6 @@ the signed sum over pairings implemented in :func:`wick_moment`.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -38,12 +37,24 @@ from .phase import (
 N_MAX_WORD = 12
 
 
-def _check_unit_spectrum(m: np.ndarray, what: str, tol: float) -> None:
-    """Hermitian, with every eigenvalue in [0, 1]."""
-    eigs = np.linalg.eigvalsh(_check_hermitian(m, what, tol))
-    res = max(float(-eigs.min()), float(eigs.max() - 1.0))
-    if res > tol:
-        raise StructureViolation(f"{what} eigenvalues leave [0, 1]", res)
+def _check_unit_spectrum(x: np.ndarray, what: str, tol: float) -> None:
+    """Reject M unless its spectrum lies in [0, 1] within tol, given x = M - I/2
+    of a Hermitian M, x = R of M = I/2 + iR, or a stack of either.  That holds
+    exactly when |x|_2 <= 1/2 + tol, which one batched Cholesky of (1/2 + tol)^2 I
+    - x x* certifies once x is finite: LAPACK factors NaN without complaint.  It
+    is numpy's Cholesky, as scipy's OpenBLAS pool contends with numpy's.  A
+    stack's tol is each state's own whenever it can pass: a state with an entry
+    a > 1 fails, as |x_j|_2 >= a > 1/2 + TAU_STRUCT a.  A failed certificate
+    computes the margins |x_j|_2 - 1/2 and raises the first above tol, if any."""
+    if not np.isfinite(x).all():
+        raise StructureViolation(f"{what} has non-finite entries", float("inf"))
+    try:
+        np.linalg.cholesky((0.5 + tol) ** 2 * np.eye(x.shape[-1]) - x @ x.conj().mT)
+    except np.linalg.LinAlgError:
+        margins = np.linalg.norm(x, 2, axis=(-2, -1)).ravel() - 0.5
+        failing = margins[margins > tol]
+        if failing.size:
+            raise StructureViolation(f"{what} eigenvalues leave [0, 1]", float(failing[0])) from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,36 +70,19 @@ class CovarianceMatrix:
         if m.shape != (2 * self.mode_count, 2 * self.mode_count):
             raise StructureViolation(f"shape {m.shape} does not match mode count {self.mode_count}")
         tol = _tol(m)
-        _check_unit_spectrum(m, "covariance", tol)
+        _check_unit_spectrum(_check_hermitian(m, "covariance", tol) - 0.5 * np.eye(len(m)), "covariance", tol)
         message = "Majorana covariance is not of the form I/2 + i R"
         _check_particle_hole(self, tol, message, target=0.5 * np.eye(len(m)))
 
 
 def _covariance_from_r(r: np.ndarray) -> np.ndarray:
-    """Majorana covariance entries I/2 + iR of a computed, exactly
-    antisymmetric real R, or of each R_j of a stack.
-
-    Only the spectrum can fail: it lies in [0, 1] within tol exactly when
-    |R_j|_2 <= 1/2 + tol, which one (batched) real Cholesky of (1/2 + tol)^2 I
-    - R_j R_j^T certifies for a finite R, as LAPACK factors NaN without
-    complaint.  It is numpy's Cholesky, since scipy's OpenBLAS pool contends with numpy's.
-    The stack's tol is each state's own when no entry exceeds 1; else the
-    state with the largest entry M > 1 fails, as |R_j|_2 >= M > 1/2 +
-    TAU_STRUCT M.  Otherwise ``validate`` decides state by state; a computed
-    state that fails it is a numerical failure, not malformed input, so its
-    StructureViolation is re-raised as NumericalFailure with the same message.
-    """
-    m = 0.5 * np.eye(r.shape[-1]) + 1j * r
-    if np.isfinite(r).all():
-        with contextlib.suppress(np.linalg.LinAlgError):
-            np.linalg.cholesky((0.5 + _tol(r)) ** 2 * np.eye(r.shape[-1]) - r @ r.mT)
-            return m
-    for m_j in m.reshape(-1, *m.shape[-2:]):
-        try:
-            CovarianceMatrix(entries=m_j, basis=BasisTag.MAJORANA, mode_count=len(m_j) // 2).validate()
-        except StructureViolation as exc:
-            raise NumericalFailure(str(exc)) from exc
-    return m
+    """I/2 + iR of a computed, exactly antisymmetric real R, or of each R_j of a
+    stack: only its spectrum can fail, which is a numerical failure."""
+    try:
+        _check_unit_spectrum(r, "covariance", _tol(r))
+    except StructureViolation as exc:
+        raise NumericalFailure(str(exc)) from exc
+    return 0.5 * np.eye(r.shape[-1]) + 1j * r
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,7 +96,9 @@ class SmallCovarianceMatrix:
         m = self.entries
         if m.shape != (self.mode_count, self.mode_count):
             raise StructureViolation(f"shape {m.shape} does not match mode count {self.mode_count}")
-        _check_unit_spectrum(m, "small covariance", _tol(m))
+        tol = _tol(m)
+        x = _check_hermitian(m, "small covariance", tol) - 0.5 * np.eye(len(m))
+        _check_unit_spectrum(x, "small covariance", tol)
 
 
 def validate_covariance(entries, basis: BasisTag) -> CovarianceMatrix:

@@ -427,7 +427,30 @@ class TestBlocks:
                     peaks.append(tracemalloc.get_traced_memory()[1])
                 finally:
                     tracemalloc.stop()
-        assert peaks[1] <= 2 * peaks[0]
+        # one block alive at a time: the traced peaks read 3.74 and 3.83 MiB,
+        # against 4.49 MiB for 2000 samples when the previous block was kept
+        # while the next one was built
+        assert peaks[1] <= 1.1 * peaks[0]
+
+
+class TestCliDigest:
+    def test_cli_output_is_pinned(self, capsys, monkeypatch):
+        """``tools/cli_digest.py`` over its 217 CLI cases.  The digest is
+        re-recorded, with a CHANGES.md line, only when CLI output changes on
+        purpose."""
+        import importlib.util
+
+        # the tool sets BLAS thread variables and prepends src/ to sys.path on import
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            monkeypatch.setenv(var, os.environ.get(var, "1"))
+        monkeypatch.setattr(sys, "path", list(sys.path))
+        path = Path(__file__).resolve().parents[1] / "tools" / "cli_digest.py"
+        spec = importlib.util.spec_from_file_location("cli_digest", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        digest = module.main_digest(False)
+        assert capsys.readouterr().out == "217 cases, exit codes {0: 189, 1: 7, 2: 21}\n"
+        assert digest == "e143d5f5a94f8e0ddb0b5a5f7ef8e8bf3b74c9334e3cdce4e624416760ec14b0"
 
 
 class TestObservables:

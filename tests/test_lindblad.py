@@ -719,6 +719,12 @@ class TestGaugeInvariant:
         gi = make_gauge_invariant(chain_hamiltonian(3), np.zeros((3, 1)), np.array([[0.5]]))
         assert not ergodicity_gauge_invariant(gi).converges
 
+    @pytest.mark.parametrize("shape", [(1, 3), (2, 3), (0, 0)])
+    def test_t0_must_be_a_nonempty_square_matrix(self, shape):
+        # a 1 x 3 T0 once passed the Hermiticity check by broadcasting against its transpose
+        with pytest.raises(StructureViolation, match="nonempty square matrix"):
+            make_gauge_invariant(np.zeros(shape), np.ones((shape[0], 1)), [[0.5]])
+
     def test_pairing_block_stays_zero(self):
         rng = np.random.default_rng(8)
         gi = make_gauge_invariant(
@@ -841,6 +847,14 @@ class TestRealCaseKalman:
             for s_th in (1e-8, 1.0, 1e8):
                 assert real_case_kalman(s * c_t, s_th * c_th) == verdict
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("argument", [0, 1])
+    def test_non_finite_input_is_rejected(self, bad, argument):
+        blocks = list(self._xy_blocks(4, 0.5, 0.0, 1.0, 1.0))
+        blocks[argument][0, 0] = bad
+        with pytest.raises(StructureViolation, match="non-finite"):
+            real_case_kalman(*blocks)
+
     def test_xy_chain_at_length_80(self):
         c_t, c_th = self._xy_blocks(80, 0.4, 0.25, 1.0, 1.0)
         spec = xy_chain(XYParams(80, 0.4, 0.25, 1.0, 1.0, 0.7, 0.3))
@@ -897,7 +911,7 @@ class TestChainPredictionAlgebra:
 
 class TestSteppedStateCheck:
     """A stepped state that fails its check raises NumericalFailure with the
-    message ``validate`` gives that state."""
+    message ``validate`` gives that state; a non-finite one is named as such."""
 
     @pytest.mark.parametrize("flow", ["doubling", "nan", "inf"])
     def test_invalid_stepped_state(self, flow, monkeypatch):
@@ -908,17 +922,17 @@ class TestSteppedStateCheck:
         q[0, 1], q[1, 0] = {"doubling": (0.0, 0.0), "nan": (np.nan, np.nan), "inf": (np.inf, -np.inf)}[flow]
         e = 2 * np.eye(n) if flow == "doubling" else np.eye(n)
         monkeypatch.setattr(lindblad, "_majorana_flow", lambda spec, t: (e, q))
-        with np.errstate(invalid="ignore"):
-            r = e @ convert_basis(m0, MAJ).entries.imag @ e.T + q
-            r = (r - r.T) / 2
-            bare = CovarianceMatrix(entries=0.5 * np.eye(n) + 1j * r, basis=MAJ, mode_count=3)
+        with np.errstate(invalid="ignore"), pytest.raises(NumericalFailure) as raised:
+            list(propagate_series(spec, m0, 0.1, 2))
+        if flow == "doubling":
+            r = e @ convert_basis(m0, MAJ).entries.imag @ e.T
+            bare = CovarianceMatrix(entries=0.5 * np.eye(n) + 1j * (r - r.T) / 2, basis=MAJ, mode_count=3)
             with pytest.raises(StructureViolation) as expected:
                 bare.validate()
-            with pytest.raises(NumericalFailure) as raised:
-                list(propagate_series(spec, m0, 0.1, 2))
-        assert str(raised.value) == str(expected.value)
-        start = "covariance eigenvalues leave [0, 1]" if flow == "doubling" else "covariance is not Hermitian"
-        assert str(raised.value).startswith(start)
+            assert str(raised.value) == str(expected.value)
+            assert str(raised.value).startswith("covariance eigenvalues leave [0, 1]")
+        else:
+            assert str(raised.value) == "covariance has non-finite entries (residual inf)"
 
 
 class TestSteppedBlocks:

@@ -238,6 +238,14 @@ class TestValidation:
         with pytest.raises(StructureViolation):
             validate_covariance(m, CA)
 
+    def test_rejects_empty_small_covariance(self):
+        with pytest.raises(StructureViolation, match="nonempty square matrix"):
+            validate_small_covariance(np.zeros((0, 0)))
+
+    def test_gibbs_rejects_non_square_t0(self):
+        with pytest.raises(StructureViolation, match="nonempty square matrix"):
+            small_covariance_from_gibbs(np.zeros((2, 3)), 1.0)
+
     # Hermitian matrices with spectrum in [0, 1] that differ from a valid twin
     # only in particle-hole structure: each must fail on that check alone.
 
@@ -269,6 +277,19 @@ def _verdict(check):
     return None
 
 
+def _reference(m, what="covariance"):
+    """The spectrum check's verdict on a covariance M (or a stack), read off
+    ``eigvalsh`` state by state: the first failing state's message, or None."""
+    for m_j in m.reshape(-1, *m.shape[-2:]):
+        if not np.isfinite(m_j).all():
+            return str(StructureViolation(f"{what} has non-finite entries", float("inf")))
+        eigs = np.linalg.eigvalsh((m_j + m_j.conj().T) / 2)
+        res = max(float(-eigs.min()), float(eigs.max() - 1.0))
+        if res > _tol(m):
+            return str(StructureViolation(f"{what} eigenvalues leave [0, 1]", res))
+    return None
+
+
 def _antisymmetric(rng, n, norm, pure=False):
     """Exactly antisymmetric R = O J O^T with |R|_2 = norm (up to rounding),
     J block diagonal; all of J's blocks have the norm when ``pure``."""
@@ -281,39 +302,51 @@ def _antisymmetric(rng, n, norm, pure=False):
     return (r - r.T) / 2
 
 
+@pytest.fixture
+def margins(monkeypatch):
+    """Counts the calls of ``np.linalg.norm``, through which the spectrum
+    check computes its margins once its certificate has failed.  Arm it only
+    after the test data is built."""
+    calls = []
+
+    def counted(*args, _original=np.linalg.norm, **kwargs):
+        calls.append(1)
+        return _original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counted)
+    return calls
+
+
 class TestCovarianceFromR:
-    """The Cholesky certificate of a stepped state agrees with ``validate``,
-    and decides every valid state without falling back to it."""
-
-    @pytest.fixture
-    def validate_calls(self, monkeypatch):
-        calls = []
-
-        def counted(self, _original=CovarianceMatrix.validate):
-            calls.append(1)
-            return _original(self)
-
-        monkeypatch.setattr(CovarianceMatrix, "validate", counted)
-        return calls
+    """The Cholesky certificate of a stepped state agrees with the ``eigvalsh``
+    reference and with ``validate``, and decides every valid state without
+    computing a margin."""
 
     @staticmethod
     def _agrees(r):
-        """The certificate's verdict, after asserting that ``validate`` gives the same one."""
-        L = len(r) // 2
-        bare = CovarianceMatrix(entries=0.5 * np.eye(len(r)) + 1j * r, basis=MAJ, mode_count=L)
+        """The certificate's verdict, after asserting that the ``eigvalsh``
+        reference, and ``validate`` on a finite R, give the same one."""
+        L = r.shape[-1] // 2
+        with np.errstate(invalid="ignore"):  # 1j * inf
+            m = 0.5 * np.eye(2 * L) + 1j * r
         verdict = _verdict(lambda: _covariance_from_r(r))
-        assert verdict == _verdict(bare.validate)
+        assert verdict == _reference(m)
+        if r.ndim == 2 and np.isfinite(r).all():
+            bare = CovarianceMatrix(entries=m, basis=MAJ, mode_count=L)
+            assert verdict == _verdict(bare.validate)
         return verdict
 
     @pytest.mark.parametrize("n", [2, 4, 8, 40, 200])
-    def test_pure_states_pass_on_the_certificate(self, n, validate_calls):
+    def test_pure_states_pass_on_the_certificate(self, n, request):
         rng = np.random.default_rng(n)
         exact = np.zeros((n, n))
         exact[np.arange(n // 2), np.arange(n // 2) + n // 2] = rng.choice([-0.5, 0.5], n // 2)
         exact = exact - exact.T  # |R|_2 = 1/2 exactly: a pure Gaussian state
-        for r in (exact, _antisymmetric(rng, n, 0.5, pure=True)):
+        states = (exact, _antisymmetric(rng, n, 0.5, pure=True))
+        calls = request.getfixturevalue("margins")
+        for r in states:
             assert self._agrees(r) is None
-        assert validate_calls == [1, 1]  # only the two reference checks
+        assert calls == []  # certified, by the certificate and by ``validate``, without a margin
 
     @pytest.mark.parametrize("n", [2, 6, 40, 200])
     @pytest.mark.parametrize("offset", [-1e-12, 1e-12])
@@ -330,18 +363,19 @@ class TestCovarianceFromR:
             assert verdict.startswith("covariance eigenvalues leave [0, 1]")
 
     @pytest.mark.parametrize("n", [2, 4, 10, 30, 80, 200])
-    def test_random_states(self, n, validate_calls):
+    def test_random_states(self, n, request):
         rng = np.random.default_rng(40 + n)
-        rejected = 0
+        states = []
         for _ in range(12):
             x = rng.standard_normal((n, n))
             r = (x - x.T) / 2
             r *= rng.uniform(0.3, 0.7) / np.linalg.norm(r, 2)
-            r = (r - r.T) / 2
-            rejected += self._agrees(r) is not None
+            states.append((r - r.T) / 2)
+        calls = request.getfixturevalue("margins")
+        rejected = sum(self._agrees(r) is not None for r in states)
         assert 0 < rejected < 12
-        # one reference check per state, plus one fallback per rejected state
-        assert len(validate_calls) == 12 + rejected
+        # margins only for a rejected state: once by the certificate, once by ``validate``
+        assert len(calls) == 2 * rejected
 
     @staticmethod
     def _stack(rng, n, count):
@@ -350,10 +384,12 @@ class TestCovarianceFromR:
         states = [(0.5 + TAU_STRUCT - 1e-12) / np.linalg.norm(r, 2) * r for r in states]
         return np.stack([(r - r.T) / 2 for r in states])
 
-    def test_valid_stack_is_certified_at_once(self, validate_calls):
+    def test_valid_stack_is_certified_at_once(self, request):
         stack = self._stack(np.random.default_rng(60), 6, 7)
+        calls = request.getfixturevalue("margins")
         entries = _covariance_from_r(stack)
-        assert validate_calls == []
+        assert calls == []
+        assert self._agrees(stack) is None
         for r, m in zip(stack, entries):
             assert m.tobytes() == _covariance_from_r(r).tobytes()  # bit for bit the single-state build
 
@@ -370,19 +406,73 @@ class TestCovarianceFromR:
         else:
             value = {"nan": np.nan, "inf": np.inf}[bad]
             stack[position, 0, 1], stack[position, 1, 0] = value, -value
-        with np.errstate(invalid="ignore"):
-            verdicts = [self._agrees(r) for r in stack]
-            verdict = _verdict(lambda: _covariance_from_r(stack))
+        verdicts = [self._agrees(r) for r in stack]
+        verdict = self._agrees(stack)
         assert [v is None for v in verdicts] == [j != position for j in range(7)]
         assert verdict == verdicts[position]
-        start = "covariance eigenvalues leave [0, 1]" if bad == "over" else "covariance is not Hermitian"
+        start = "covariance eigenvalues leave [0, 1]" if bad == "over" else "covariance has non-finite entries"
         assert verdict.startswith(start)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_r_is_rejected_as_validate_rejects_it(self, bad):
-        # LAPACK factors a NaN matrix without complaint: finiteness is checked first
+        # LAPACK factors a NaN matrix without complaint: finiteness is checked
+        # first; ``validate`` meets the NaN residual of its Hermiticity check first
         r = _antisymmetric(np.random.default_rng(50), 4, 0.25)
         r[0, 1], r[1, 0] = bad, -bad
+        assert self._agrees(r) == "covariance has non-finite entries (residual inf)"
         with np.errstate(invalid="ignore"):
-            verdict = self._agrees(r)
-        assert verdict.startswith("covariance is not Hermitian")
+            bare = CovarianceMatrix(entries=0.5 * np.eye(4) + 1j * r, basis=MAJ, mode_count=2)
+            assert _verdict(bare.validate) == "covariance is not Hermitian (residual nan)"
+
+
+class TestValidateSpectrum:
+    """``validate`` of a full and of a small covariance decides the spectrum
+    as the ``eigvalsh`` reference does, with the same message."""
+
+    @staticmethod
+    def _hermitian(rng, n, lo, hi):
+        """A random complex Hermitian matrix with spectrum spread over [lo, hi]."""
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        eigs = np.r_[lo, hi, rng.uniform(lo, hi, n)][:n]
+        m = (q * eigs) @ q.conj().T
+        return (m + m.conj().T) / 2
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 24])
+    def test_small_covariance_matches_the_reference(self, n):
+        rng = np.random.default_rng(70 + n)
+        verdicts = []
+        for lo, hi in [(0.0, 1.0), (-0.2, 0.9), (0.1, 1.3), (0.3, 0.7)] * 3:
+            m = self._hermitian(rng, n, lo, hi)
+            verdict = _verdict(lambda: validate_small_covariance(m))
+            assert verdict == _reference(m, "small covariance")
+            verdicts.append(verdict is None)
+        assert any(verdicts) and not all(verdicts)
+
+    @pytest.mark.parametrize("n", [1, 3, 20])
+    @pytest.mark.parametrize("offset", [-1e-12, 1e-12])
+    @pytest.mark.parametrize("edge", [0.0, 1.0])
+    def test_small_covariance_at_the_tolerance(self, n, offset, edge):
+        # one eigenvalue tol + offset beyond an edge of [0, 1], the others inside
+        rng = np.random.default_rng(80 + n)
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        eigs = rng.uniform(0.1, 0.9, n)
+        eigs[0] = edge + (2 * edge - 1) * (TAU_STRUCT + offset)
+        m = (q * eigs) @ q.conj().T
+        m = (m + m.conj().T) / 2
+        verdict = _verdict(lambda: validate_small_covariance(m))
+        assert verdict == _reference(m, "small covariance")
+        assert (verdict is None) == (offset < 0)
+
+    @pytest.mark.parametrize("L", [1, 3, 12])
+    def test_full_covariance_matches_the_reference(self, L):
+        # creation/annihilation-basis covariances of Gibbs states of random
+        # Hamiltonians, scaled about I/2 to |M - I/2|_2 = scale / 2
+        rng = np.random.default_rng(90 + L)
+        verdicts = []
+        for scale in (0.5, 1.0, 1.5, 3.0):
+            x0 = random_covariance(rng, L).entries - 0.5 * np.eye(2 * L)
+            m = 0.5 * np.eye(2 * L) + scale / (2 * np.linalg.norm(x0, 2)) * x0
+            verdict = _verdict(lambda: validate_covariance(m, CA))
+            assert verdict == _reference(m)
+            verdicts.append(verdict is None)
+        assert verdicts[:2] == [True, True] and not all(verdicts)
