@@ -41,20 +41,25 @@ def _check_unit_spectrum(x: np.ndarray, what: str, tol: float) -> None:
     """Reject M unless its spectrum lies in [0, 1] within tol, given x = M - I/2
     of a Hermitian M, x = R of M = I/2 + iR, or a stack of either.  That holds
     exactly when |x|_2 <= 1/2 + tol, which one batched Cholesky of (1/2 + tol)^2 I
-    - x x* certifies once x is finite: LAPACK factors NaN without complaint.  It
-    is numpy's Cholesky, as scipy's OpenBLAS pool contends with numpy's.  A
-    stack's tol is each state's own whenever it can pass: a state with an entry
-    a > 1 fails, as |x_j|_2 >= a > 1/2 + TAU_STRUCT a.  A failed certificate
-    computes the margins |x_j|_2 - 1/2 and raises the first above tol, if any."""
+    - x x* certifies once x is finite, as LAPACK factors NaN without complaint,
+    and tol = TAU_STRUCT max(1, max|M|) < 1/2: a larger tol means an entry of at
+    least 5e8, which fails anyway, and below it x x* cannot overflow.  It is numpy's
+    Cholesky, as scipy's OpenBLAS pool contends with numpy's.  A stack's tol is
+    each state's own whenever it can pass: a state with an entry a > 1 fails, as
+    |x_j|_2 >= a > 1/2 + TAU_STRUCT a.  Otherwise the margins |x_j|_2 - 1/2 are
+    computed and the first above tol, or NaN, raises."""
     if not np.isfinite(x).all():
         raise StructureViolation(f"{what} has non-finite entries", float("inf"))
-    try:
-        np.linalg.cholesky((0.5 + tol) ** 2 * np.eye(x.shape[-1]) - x @ x.conj().mT)
-    except np.linalg.LinAlgError:
-        margins = np.linalg.norm(x, 2, axis=(-2, -1)).ravel() - 0.5
-        failing = margins[margins > tol]
-        if failing.size:
-            raise StructureViolation(f"{what} eigenvalues leave [0, 1]", float(failing[0])) from None
+    if tol < 0.5:
+        try:
+            np.linalg.cholesky((0.5 + tol) ** 2 * np.eye(x.shape[-1]) - x @ x.conj().mT)
+            return
+        except np.linalg.LinAlgError:
+            pass
+    margins = np.linalg.norm(x, 2, axis=(-2, -1)).ravel() - 0.5
+    failing = margins[~(margins <= tol)]
+    if failing.size:
+        raise StructureViolation(f"{what} eigenvalues leave [0, 1]", float(failing[0]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,7 +75,8 @@ class CovarianceMatrix:
         if m.shape != (2 * self.mode_count, 2 * self.mode_count):
             raise StructureViolation(f"shape {m.shape} does not match mode count {self.mode_count}")
         tol = _tol(m)
-        _check_unit_spectrum(_check_hermitian(m, "covariance", tol) - 0.5 * np.eye(len(m)), "covariance", tol)
+        x = _check_hermitian(m, "covariance", tol) - 0.5 * np.eye(len(m))
+        _check_unit_spectrum(x, "covariance", tol)
         message = "Majorana covariance is not of the form I/2 + i R"
         _check_particle_hole(self, tol, message, target=0.5 * np.eye(len(m)))
 
@@ -164,26 +170,17 @@ def full_from_small(m0: SmallCovarianceMatrix) -> CovarianceMatrix:
     return CovarianceMatrix(entries=full, basis=BasisTag.CREATION_ANNIHILATION, mode_count=L)
 
 
-def _pairings(k: int):
-    """Yield (sign, pairs) over all perfect matchings of range(k)."""
-    if k == 0:
+def _pairings(rest: list):
+    """Yield (sign, pairs) over all perfect matchings of the list ``rest``."""
+    if not rest:
         yield 1, []
         return
-    idx = list(range(k))
-
-    def rec(rest):
-        if not rest:
-            yield 1, []
-            return
-        first = rest[0]
-        for pos in range(1, len(rest)):
-            partner = rest[pos]
-            sub = rest[1:pos] + rest[pos + 1 :]
-            sign = -1 if (pos - 1) % 2 else 1
-            for s, pairs in rec(sub):
-                yield sign * s, [(first, partner)] + pairs
-
-    yield from rec(idx)
+    first = rest[0]
+    for pos in range(1, len(rest)):
+        sub = rest[1:pos] + rest[pos + 1 :]
+        sign = -1 if (pos - 1) % 2 else 1
+        for s, pairs in _pairings(sub):
+            yield sign * s, [(first, rest[pos])] + pairs
 
 
 def wick_moment(m: CovarianceMatrix, word: Sequence) -> complex:
@@ -207,7 +204,7 @@ def wick_moment(m: CovarianceMatrix, word: Sequence) -> complex:
     mm = convert_basis(m, BasisTag.MAJORANA).entries
     kern = np.array([[2.0 * x @ mm @ y for y in vecs] for x in vecs])
     total = 0.0 + 0.0j
-    for sign, pairs in _pairings(n):
+    for sign, pairs in _pairings(list(range(n))):
         term = complex(sign)
         for p, q in pairs:
             term *= kern[p, q]

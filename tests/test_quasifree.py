@@ -413,6 +413,12 @@ class TestCovarianceFromR:
         start = "covariance eigenvalues leave [0, 1]" if bad == "over" else "covariance has non-finite entries"
         assert verdict.startswith(start)
 
+    def test_nan_margin_is_a_failure(self, monkeypatch):
+        # a margin that comes out NaN must not pass a state that failed its certificate
+        r = _antisymmetric(np.random.default_rng(51), 4, 0.7)
+        monkeypatch.setattr(np.linalg, "norm", lambda x, *args, **kwargs: np.full(x.shape[:-2], np.nan))
+        assert _verdict(lambda: _covariance_from_r(r)) == "covariance eigenvalues leave [0, 1] (residual nan)"
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_r_is_rejected_as_validate_rejects_it(self, bad):
         # LAPACK factors a NaN matrix without complaint: finiteness is checked
@@ -462,6 +468,25 @@ class TestValidateSpectrum:
         verdict = _verdict(lambda: validate_small_covariance(m))
         assert verdict == _reference(m, "small covariance")
         assert (verdict is None) == (offset < 0)
+
+    @pytest.mark.parametrize("big", [1e155, 1e200, 1e300])
+    def test_huge_finite_entries_fail_without_overflow(self, big):
+        # x x* overflows from entries of about 1e154, and (1/2 + tol) ** 2 of a
+        # Python float raises OverflowError from about 1e163 on
+        m = np.array([[big]])
+        verdict = _verdict(lambda: validate_small_covariance(m))
+        assert verdict == _reference(m, "small covariance")
+        assert verdict.startswith("small covariance eigenvalues leave [0, 1]")
+        r = np.zeros((4, 4))
+        r[0, 1], r[1, 0] = big, -big  # I/2 + iR is Hermitian with the Majorana form
+        m = 0.5 * np.eye(4) + 1j * r
+        verdict = _verdict(lambda: validate_covariance(m, MAJ))
+        assert verdict == _reference(m)
+        assert verdict.startswith("covariance eigenvalues leave [0, 1]")
+        assert _verdict(lambda: _covariance_from_r(r)) == verdict
+        stack = np.zeros((3, 4, 4))
+        stack[1] = r
+        assert _verdict(lambda: _covariance_from_r(stack)) == verdict
 
     @pytest.mark.parametrize("L", [1, 3, 12])
     def test_full_covariance_matches_the_reference(self, L):

@@ -4,7 +4,9 @@ Run it from a checkout on two versions of the code: equal digests mean
 byte-identical CLI output, including the rows printed before a state fails.
 
     python tools/cli_digest.py          # prints the digest and the exit-code tally
-    python tools/cli_digest.py -v       # also one line per case
+    python tools/cli_digest.py -v       # also one line per case, with a hash of its output
+
+Two ``-v`` listings diff to the cases whose output differs.
 
 The runs go through ``fermicov.cli.main`` in one process, with the
 ``fermicov`` of this checkout's ``src/``.  Model files are written to a
@@ -114,12 +116,14 @@ def main_digest(verbose: bool) -> str:
     tally: dict[int, int] = {}
     with tempfile.TemporaryDirectory() as directory:
         for label, code, out, err in cases(directory):
+            case = hashlib.sha256()
             for part in (str(code), out, err):
                 data = part.encode()
+                case.update(len(data).to_bytes(8, "little") + data)
                 digest.update(len(data).to_bytes(8, "little") + data)
             tally[code] = tally.get(code, 0) + 1
             if verbose:
-                print(f"{code} {len(out.splitlines()):3d} lines  {label}")
+                print(f"{code} {len(out.splitlines()):3d} lines  {case.hexdigest()[:12]}  {label}")
     print(f"{sum(tally.values())} cases, exit codes {dict(sorted(tally.items()))}")
     return digest.hexdigest()
 
