@@ -40,7 +40,7 @@ from .lindblad import (
     stationary,
 )
 from .oracle import build_lindbladian, evolve_dense, generator_norm_bound
-from .phase import TAU_NUM, TAU_STRUCT, BasisTag, _small_block, convert_basis, validate_coupling, validate_qf
+from .phase import TAU_NUM, TAU_STRUCT, BasisTag, convert_basis, validate_coupling, validate_qf
 from .quasifree import CovarianceMatrix, small_from_full, validate_covariance
 
 SCHEMA_VERSION = 1
@@ -358,9 +358,7 @@ def cmd_evolve(args, out, err) -> int:
     m0 = m_inf if args.m0 == "stationary" else _initial_covariance(spec, args.m0)
     L = spec.mode_count
 
-    header = ["t"]
-    header += [f"occ_{i + 1}" for i in range(L)]
-    header += [f"current_{i + 1}" for i in range(L - 1)]
+    header = ["t", *(f"occ_{i + 1}" for i in range(L)), *(f"current_{i + 1}" for i in range(L - 1))]
     if m_inf is not None:
         header.append("distance")
     out.write(",".join(header) + "\n")
@@ -370,13 +368,13 @@ def cmd_evolve(args, out, err) -> int:
         js = np.arange(j, j + len(block))
         j += len(block)
         t = args.t_final * js / args.samples
-        small = _small_block(block)
+        above = block.diagonal(1, 1, 2)  # R[i, i+1]
         columns = [np.where(np.isfinite(t), t, args.t_final * (js / args.samples))]
-        columns += [small.diagonal(0, 1, 2).real, small.diagonal(1, 1, 2).imag]
+        columns += [0.5 + block.diagonal(L, 1, 2), 0.5 * (above[:, : L - 1] + above[:, L:])]
         if m_inf is not None:
-            columns.append(np.abs(block - m_inf.entries).max(axis=(1, 2)))
+            columns.append(np.abs(block - m_inf.entries.imag).max(axis=(1, 2)))
         out.write("".join(row % tuple(values) for values in np.column_stack(columns).tolist()))
-        del block, small, columns  # before the next block is built
+        del block, above, columns  # before the next block is built
     return 0
 
 

@@ -2,19 +2,19 @@
 
 
 class FermicovError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors.
+
+    Carries the largest offending residual in ``residual`` and the offending
+    state's position in a stack in ``index``, or None for either.
+    """
+
+    def __init__(self, message: str, residual: float | None = None, index: int | None = None):
+        super().__init__(message if residual is None else f"{message} (residual {residual:.3e})")
+        self.residual, self.index = residual, index
 
 
 class StructureViolation(FermicovError):
-    """A matrix does not satisfy the structural form required by its tag.
-
-    Carries the largest offending residual in ``residual``, or None when the
-    violation has no residual (a wrong shape or mode count).
-    """
-
-    def __init__(self, message: str, residual: float | None = None):
-        super().__init__(message if residual is None else f"{message} (residual {residual:.3e})")
-        self.residual = residual
+    """A matrix does not satisfy the structural form required by its tag."""
 
 
 class NumericalFailure(FermicovError):

@@ -177,7 +177,7 @@ def gibbs_state(h: DenseOperator, beta: float) -> DenseState:
         raise StructureViolation("beta must be finite")
     h.validate()
     w, v = scipy.linalg.eigh(_check_hermitian(h.entries, "Gibbs Hamiltonian", _tol(h.entries)))
-    weights = np.exp(-beta * (w - w.min()))
+    weights = np.exp(-beta * (w - (w.min() if beta >= 0 else w.max())))  # each exponent <= 0
     rho = (v * weights) @ v.conj().T
     rho /= np.trace(rho).real
     return DenseState(op=DenseOperator(entries=rho, mode_count=h.mode_count))
@@ -300,4 +300,6 @@ def field_operator(coords, n: int) -> DenseOperator:
     coords = np.asarray(coords, dtype=complex)
     if coords.shape != (2 * n,):
         raise StructureViolation(f"coordinates have shape {coords.shape}, expected {(2 * n,)}")
+    if not np.isfinite(coords).all():
+        raise StructureViolation("coordinates have non-finite entries", float("inf"))
     return DenseOperator(entries=_field(coords, n), mode_count=n)

@@ -8,8 +8,9 @@ real, so the master equation
 keeps I/2 fixed and moves R by dR/dt = G R + R G^T + Y, with the real drift
 G = A - 1/2 W W^T (``spec.drift.real``) and Y = W R_B W^T (``spec.pump.imag``).
 The stationary solve and the flow R(t) = E R(0) E^T + Q work on R in real
-arithmetic; ``propagate_series`` steps one flow on an even grid, and
-``propagate`` is its single-step case.
+arithmetic; ``propagate_series`` steps one flow on an even grid into real
+stacks of R, each certified once, and ``propagate`` is its single-step case.
+I/2 + iR is built only for a covariance that leaves the module.
 
 The stationary state is unique exactly when span{T_S^k Theta} is the whole
 space (the Kalman-type criterion), which holds exactly when the drift is
@@ -36,6 +37,7 @@ import scipy.linalg
 from .errors import NonUniqueStationary, NumericalFailure, StructureViolation
 from .phase import (
     TAU_NUM,
+    TAU_STRUCT,
     BasisTag,
     BogoliubovTransform,
     CouplingMatrix,
@@ -53,7 +55,7 @@ from .phase import (
 from .quasifree import (
     CovarianceMatrix,
     SmallCovarianceMatrix,
-    _covariance_from_r,
+    _check_unit_spectrum,
     full_from_small,
     small_from_full,
     validate_small_covariance,
@@ -274,7 +276,9 @@ def stationary(spec: SemigroupSpec) -> CovarianceMatrix:
     residual = _max_abs(g @ r + r @ g.T + y)
     if not residual <= RESIDUAL_TOL * max(_max_abs(spec.pump), 1e-300):
         raise NumericalFailure(f"stationary residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e} |P|")
-    return CovarianceMatrix(entries=_covariance_from_r(r), basis=BasisTag.MAJORANA, mode_count=spec.mode_count)
+    _check_unit_spectrum(r, "covariance", TAU_STRUCT, NumericalFailure)
+    m = 0.5 * np.eye(len(r)) + 1j * r
+    return CovarianceMatrix(entries=m, basis=BasisTag.MAJORANA, mode_count=spec.mode_count)
 
 
 def stationary_gauge_invariant(spec: GaugeInvariantSpec) -> SmallCovarianceMatrix:
@@ -319,6 +323,8 @@ def _majorana_flow(spec: SemigroupSpec, t: float) -> tuple[np.ndarray, np.ndarra
     any t, and only V_c goes through ``_affine_flow``; E = I + U (e^(tG) - I) U^T
     is exactly I at t = 0.  Otherwise the whole drift goes through ``_affine_flow``.
     """
+    if not (np.isfinite(t) and t >= 0):
+        raise ValueError("propagation time must be nonnegative and finite")
     g, y = spec.drift.real, spec.pump.imag
     s, z, k = spec._schur
     if k == 0:
@@ -336,35 +342,37 @@ def _majorana_flow(spec: SemigroupSpec, t: float) -> tuple[np.ndarray, np.ndarra
     return e, u_c @ q_c @ u_c.T
 
 
-def _stepped_blocks(e: np.ndarray, q: np.ndarray, m: np.ndarray, steps: int) -> Iterator[np.ndarray]:
-    """M(0) = m, trusted, as a block of its own, then the covariances of R_(j+1)
-    = E R_j E^T + Q (antisymmetrized), j < steps, as complex stacks of at most
-    max(1, ``_BLOCK_ENTRIES`` // n^2) states, each certified at once."""
-    yield m[None]
-    n, r = len(m), m.imag
+def _stepped_blocks(e: np.ndarray, q: np.ndarray, r0: np.ndarray, steps: int) -> Iterator[np.ndarray]:
+    """R(0) = r0, trusted, as a block of its own, then R_(j+1) = E R_j E^T + Q
+    (antisymmetrized), j < steps, in new real stacks of at most
+    max(1, ``_BLOCK_ENTRIES`` // n^2) states, each certified once at
+    ``TAU_STRUCT``, the tol ``validate`` gives any state that can pass.  A
+    failing stack yields the states before its first failing one and raises."""
+    yield r0[None]
+    n, r = len(r0), r0
     size = max(1, _BLOCK_ENTRIES // n**2)
-    rs = np.empty((min(size, steps), n, n))  # one real stack for every block
     for start in range(0, steps, size):
-        block = rs[: min(size, steps - start)]
+        block = np.empty((min(size, steps - start), n, n))
         for j in range(len(block)):
             r = e @ r @ e.T + q
             block[j] = r = (r - r.T) / 2
         try:
-            yield _covariance_from_r(block)
-        except NumericalFailure:  # state by state, so that the states before the failing one are yielded
-            yield from (_covariance_from_r(r_j)[None] for r_j in block)
+            _check_unit_spectrum(block, "covariance", TAU_STRUCT, NumericalFailure)
+        except NumericalFailure as exc:
+            if exc.index:
+                yield block[: exc.index]
+            raise
+        yield block
 
 
 def _series_blocks(spec: SemigroupSpec, m0: CovarianceMatrix, dt: float, steps: int) -> Iterator[np.ndarray]:
-    """The states of ``propagate_series`` as the stacks of ``_stepped_blocks``."""
-    if not (np.isfinite(dt) and dt >= 0):
-        raise ValueError("propagation time must be nonnegative and finite")
+    """The states R of ``propagate_series`` as the stacks of ``_stepped_blocks``."""
     if steps < 0:
         raise ValueError("step count must be nonnegative")
     if m0.mode_count != spec.mode_count:
         raise StructureViolation(f"initial covariance has {m0.mode_count} modes, spec has {spec.mode_count}")
     e, q = _majorana_flow(spec, float(dt))
-    return _stepped_blocks(e, q, convert_basis(m0, BasisTag.MAJORANA).entries, steps)
+    return _stepped_blocks(e, q, convert_basis(m0, BasisTag.MAJORANA).entries.imag, steps)
 
 
 def propagate_series(
@@ -374,26 +382,28 @@ def propagate_series(
 
     Computes one flow (E, Q) over dt with ``_majorana_flow`` and steps R by
     the semigroup law R((j+1) dt) = E R(j dt) E^T + Q, whether or not the
-    stationary state is unique.  M(0) is ``m0``'s entries, trusted by its tag;
-    the stepped states I/2 + iR, R antisymmetrized, are built and certified a
-    block at a time, so memory stays O(n^2) whatever ``steps`` is.  Each state
-    is a view into its block; one that fails its check raises NumericalFailure
+    stationary state is unique.  M(0) is ``m0`` in the Majorana basis, trusted
+    by its tag; the stepped R, antisymmetrized, are certified a block at a
+    time, so memory stays O(n^2) whatever ``steps`` is, and each is yielded
+    as its own I/2 + iR.  A state that fails its check raises NumericalFailure
     after those before it.  The checks run when iteration starts.
     """
-    for block in _series_blocks(spec, m0, dt, steps):
-        for m in block:
-            yield CovarianceMatrix(entries=m, basis=BasisTag.MAJORANA, mode_count=spec.mode_count)
+    m0 = convert_basis(m0, BasisTag.MAJORANA)
+    blocks = _series_blocks(spec, m0, dt, steps)
+    next(blocks)  # R(0): M(0) is m0 itself, whose real part may be off I/2 within tolerance
+    yield m0
+    for r in (r for block in blocks for r in block):
+        m = 0.5 * np.eye(len(r)) + 1j * r
+        yield CovarianceMatrix(entries=m, basis=BasisTag.MAJORANA, mode_count=spec.mode_count)
 
 
 def propagate(spec: SemigroupSpec, m0: CovarianceMatrix, t: float) -> CovarianceMatrix:
     """Solve the covariance master equation up to time t >= 0.
 
-    The single-step case of ``propagate_series``: one flow over t,
-    applied once and certified once.  The result is returned in the basis
-    of ``m0``.
+    The single-step case of ``propagate_series``: one flow over t, applied
+    once and certified once.  The result is returned in the basis of ``m0``.
     """
-    *_, block = _series_blocks(spec, m0, t, 1)
-    m_t = CovarianceMatrix(entries=block[-1], basis=BasisTag.MAJORANA, mode_count=spec.mode_count)
+    *_, m_t = propagate_series(spec, m0, t, 1)
     return convert_basis(m_t, m0.basis)
 
 
@@ -406,16 +416,14 @@ def propagate_gauge_invariant(
     with E0 the top-left creation/annihilation block of E, so A = 0 stays
     exactly 0 and A decays whenever the uniqueness criterion holds.
     """
-    if not (np.isfinite(t) and t >= 0):
-        raise ValueError("propagation time must be nonnegative and finite")
     a_mat = _as_matrix(a0)
     L = spec.mode_count
     if m0.mode_count != L or a_mat.shape != (L, L):
         raise StructureViolation("block sizes do not match the gauge-invariant spec")
     e, q = _majorana_flow(lift_gauge_invariant(spec), float(t))
-    *_, block = _stepped_blocks(e, q, convert_basis(full_from_small(m0), BasisTag.MAJORANA).entries, 1)
-    e0 = _small_block(e)
-    return SmallCovarianceMatrix(entries=_small_block(block[-1]), mode_count=L), e0 @ a_mat @ e0.T
+    *_, block = _stepped_blocks(e, q, convert_basis(full_from_small(m0), BasisTag.MAJORANA).entries.imag, 1)
+    e0, small = _small_block(e), _small_block(0.5 * np.eye(2 * L) + 1j * block[-1])
+    return SmallCovarianceMatrix(entries=small, mode_count=L), e0 @ a_mat @ e0.T
 
 
 def real_case_kalman(c_t, c_theta) -> bool:

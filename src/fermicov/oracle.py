@@ -214,8 +214,8 @@ def evolve_dense(lind: DenseLindbladian, rho0: DenseState, t: float) -> DenseSta
     of the shifted generator, an upper bound on the 1-norm their error
     analysis uses, so the backward-error guarantee holds.
     """
-    if t < 0:
-        raise ValueError("evolution time must be nonnegative")
+    if not (np.isfinite(t) and t >= 0):
+        raise ValueError("evolution time must be nonnegative and finite")
     rho0.op.validate()
     if rho0.op.mode_count != lind.mode_count:
         raise StructureViolation("state and generator mode counts differ")

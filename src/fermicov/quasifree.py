@@ -14,13 +14,14 @@ the signed sum over pairings implemented in :func:`wick_moment`.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 import scipy.linalg
 
-from .errors import NumericalFailure, StructureViolation, WordTooLong
+from .errors import StructureViolation, WordTooLong
 from .phase import (
     BasisTag,
     HamiltonianMatrix,
@@ -28,8 +29,10 @@ from .phase import (
     _check_even_square,
     _check_hermitian,
     _check_particle_hole,
+    _max_abs,
     _small_block,
     _tol,
+    block_reduce,
     convert_basis,
 )
 
@@ -37,29 +40,24 @@ from .phase import (
 N_MAX_WORD = 12
 
 
-def _check_unit_spectrum(x: np.ndarray, what: str, tol: float) -> None:
+def _check_unit_spectrum(x: np.ndarray, what: str, tol: float, error=StructureViolation) -> None:
     """Reject M unless its spectrum lies in [0, 1] within tol, given x = M - I/2
-    of a Hermitian M, x = R of M = I/2 + iR, or a stack of either.  That holds
-    exactly when |x|_2 <= 1/2 + tol, which one batched Cholesky of (1/2 + tol)^2 I
-    - x x* certifies once x is finite, as LAPACK factors NaN without complaint,
-    and tol = TAU_STRUCT max(1, max|M|) < 1/2: a larger tol means an entry of at
-    least 5e8, which fails anyway, and below it x x* cannot overflow.  It is numpy's
-    Cholesky, as scipy's OpenBLAS pool contends with numpy's.  A stack's tol is
-    each state's own whenever it can pass: a state with an entry a > 1 fails, as
-    |x_j|_2 >= a > 1/2 + TAU_STRUCT a.  Otherwise the margins |x_j|_2 - 1/2 are
-    computed and the first above tol, or NaN, raises."""
-    if not np.isfinite(x).all():
-        raise StructureViolation(f"{what} has non-finite entries", float("inf"))
-    if tol < 0.5:
-        try:
+    of a Hermitian M, x = R of M = I/2 + iR, or a stack of either, all at one
+    tol.  That holds exactly when |x|_2 <= 1/2 + tol, which one batched numpy
+    Cholesky (scipy's OpenBLAS pool contends with numpy's) of (1/2 + tol)^2 I
+    - x x* certifies once max|x| <= 1/2 + tol, a guard against NaN, which LAPACK
+    factors without complaint, and against overflow in x x*.  Otherwise the first
+    state that is non-finite, or whose margin |x_j|_2 - 1/2 is not within tol,
+    raises ``error`` with its own message and residual, and its index."""
+    if _max_abs(x) <= 0.5 + tol:
+        with contextlib.suppress(np.linalg.LinAlgError):
             np.linalg.cholesky((0.5 + tol) ** 2 * np.eye(x.shape[-1]) - x @ x.conj().mT)
             return
-        except np.linalg.LinAlgError:
-            pass
-    margins = np.linalg.norm(x, 2, axis=(-2, -1)).ravel() - 0.5
-    failing = margins[~(margins <= tol)]
-    if failing.size:
-        raise StructureViolation(f"{what} eigenvalues leave [0, 1]", float(failing[0]))
+    for j, x_j in enumerate(x.reshape(-1, *x.shape[-2:])):
+        if not np.isfinite(x_j).all():
+            raise error(f"{what} has non-finite entries", np.inf, j)
+        if not (margin := float(np.linalg.norm(x_j, 2)) - 0.5) <= tol:
+            raise error(f"{what} eigenvalues leave [0, 1]", margin, j)
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,16 +77,6 @@ class CovarianceMatrix:
         _check_unit_spectrum(x, "covariance", tol)
         message = "Majorana covariance is not of the form I/2 + i R"
         _check_particle_hole(self, tol, message, target=0.5 * np.eye(len(m)))
-
-
-def _covariance_from_r(r: np.ndarray) -> np.ndarray:
-    """I/2 + iR of a computed, exactly antisymmetric real R, or of each R_j of a
-    stack: only its spectrum can fail, which is a numerical failure."""
-    try:
-        _check_unit_spectrum(r, "covariance", _tol(r))
-    except StructureViolation as exc:
-        raise NumericalFailure(str(exc)) from exc
-    return 0.5 * np.eye(r.shape[-1]) + 1j * r
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,16 +113,16 @@ def validate_small_covariance(entries) -> SmallCovarianceMatrix:
 def covariance_from_gibbs(t: HamiltonianMatrix, beta: float) -> CovarianceMatrix:
     """Covariance matrix (I + e^{-2 beta T})^{-1} of the Gibbs state of T.
 
-    Evaluated through the eigendecomposition of the Hermitian matrix T, which
-    is overflow-free for any finite beta.  Returned in the
-    creation/annihilation basis.
+    Evaluated on the block reduction U* T U = diag(lam, -lam), whose exact
+    +-lam pairing gives a zero mode's particle and hole occupations that sum
+    to 1 at any beta, as ``eigh`` of T does not.  Overflow-free for any finite
+    beta.  Returned in the creation/annihilation basis.
     """
     if not np.isfinite(beta):
         raise StructureViolation("beta must be finite")
-    tc = convert_basis(t, BasisTag.CREATION_ANNIHILATION)
-    w, v = scipy.linalg.eigh(tc.entries)
-    occ = _logistic(2.0 * beta * w)
-    return validate_covariance((v * occ) @ v.conj().T, BasisTag.CREATION_ANNIHILATION)
+    u, lam = block_reduce(t)
+    m = (u.entries * _logistic(2.0 * beta * np.r_[lam, -lam])) @ u.entries.conj().T
+    return validate_covariance(m, BasisTag.CREATION_ANNIHILATION)
 
 
 def small_covariance_from_gibbs(t0, beta: float) -> SmallCovarianceMatrix:
@@ -197,6 +185,8 @@ def wick_moment(m: CovarianceMatrix, word: Sequence) -> complex:
     for x in vecs:
         if x.shape != (2 * m.mode_count,):
             raise StructureViolation(f"word vector has shape {x.shape}, expected {(2 * m.mode_count,)}")
+        if not np.isfinite(x).all():
+            raise StructureViolation("word vector has non-finite entries", float("inf"))
     if n % 2 == 1:
         return 0.0 + 0.0j
     if n == 0:

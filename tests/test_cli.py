@@ -239,6 +239,34 @@ class TestEvolve:
         assert code == 0
         assert len(out.strip().splitlines()) == 4
 
+    @pytest.mark.parametrize("basis", ["majorana", "creation-annihilation"])
+    def test_m0_file_rows_are_read_off_r(self, basis, tmp_path):
+        # an m0 file whose Majorana real part is 1e-11 off I/2, within tolerance:
+        # row 0 prints the I/2 + iR(0) that the flow steps, not the file's own
+        # small block; every later row is the small block of the stepped state
+        from fermicov import propagate_series, small_from_full, stationary, validate_covariance
+
+        spec = build_preset_spec("two-bath-chain", {})
+        L, n = spec.mode_count, 2 * spec.mode_count
+        x, y = np.random.default_rng(61).standard_normal((2, n, n))
+        r = (y - y.T) * 0.4 / np.linalg.norm(y - y.T, 2)
+        m = 0.5 * np.eye(n) + 1e-11 * (x + x.T) + 1j * r
+        m = convert_basis(validate_covariance(m, BasisTag.MAJORANA), BasisTag(basis)).entries
+        m0_path = write_model(tmp_path, {"basis": basis, "m0": matrix_to_json(m)}, name="m0.json")
+        path = write_model(tmp_path, {"schema_version": 1, "preset": {"name": "two-bath-chain"}})
+        rows = _evolve_rows(path, m0_path, "3", 6)
+        m0 = cli._initial_covariance(spec, m0_path)
+        m_inf = stationary(spec).entries
+        r0 = convert_basis(m0, BasisTag.MAJORANA).entries.imag
+        i, k = np.arange(L), np.arange(L - 1)
+        first = [0.0, *(0.5 + r0[i, L + i]), *(0.5 * (r0[k, k + 1] + r0[L + k, L + k + 1]))]
+        assert rows[0].tolist() == [*first, np.abs(r0 - m_inf.imag).max()]
+        assert np.abs(rows[0, 1 : L + 1] - small_from_full(m0).entries.diagonal().real).max() > 1e-12
+        for row, m_t in zip(rows[1:], list(propagate_series(spec, m0, 0.5, 6))[1:], strict=True):
+            small = small_from_full(m_t).entries
+            expected = [*small.diagonal().real, *np.diag(small, 1).imag, np.abs(m_t.entries - m_inf).max()]
+            assert row[1:].tolist() == expected
+
     def test_decoupled_model_conserves_total_occupation(self, tmp_path):
         # gauge-invariant Hamiltonian with zero coupling: sum of occupations fixed
         from fermicov import make_semigroup, validate_coupling, validate_covariance, validate_qf
@@ -344,12 +372,12 @@ class TestSteppedSeries:
             calls["validate"] += 1
             return _original(self, *args, **kwargs)
 
-        def certified(r, _original=fermicov.lindblad._covariance_from_r):
+        def certified(r, *args, _original=fermicov.lindblad._check_unit_spectrum):
             calls[r.shape] += 1
-            return _original(r)
+            return _original(r, *args)
 
         monkeypatch.setattr(CovarianceMatrix, "validate", counted)
-        monkeypatch.setattr(fermicov.lindblad, "_covariance_from_r", certified)
+        monkeypatch.setattr(fermicov.lindblad, "_check_unit_spectrum", certified)
         samples = 30
         _evolve_rows(path, "mixed", "5", samples)
         # the mixed start and, for a unique model, the stationary state (for the
@@ -435,7 +463,7 @@ class TestBlocks:
 
 class TestCliDigest:
     def test_cli_output_is_pinned(self, capsys, monkeypatch):
-        """``tools/cli_digest.py`` over its 217 CLI cases.  The digest is
+        """``tools/cli_digest.py`` over its 232 CLI cases.  The digest is
         re-recorded, with a CHANGES.md line, only when CLI output changes on
         purpose.  It is tied to the environment it was recorded in (numpy
         2.4.6, scipy 1.17.1, OpenBLAS 0.3.31 on an x86-64 Xeon; the same at 1,
@@ -457,8 +485,8 @@ class TestCliDigest:
             " the last commit that passed, and re-record the digest only if the change is intended"
             " or the numpy, scipy or BLAS build differs from the one named in this test's docstring"
         )
-        assert capsys.readouterr().out == "217 cases, exit codes {0: 189, 1: 7, 2: 21}\n", advice
-        assert digest == "e143d5f5a94f8e0ddb0b5a5f7ef8e8bf3b74c9334e3cdce4e624416760ec14b0", advice
+        assert capsys.readouterr().out == "232 cases, exit codes {0: 204, 1: 7, 2: 21}\n", advice
+        assert digest == "cc82ad6bbeee0eb4b28c66a593b27a68e88f83c4f240d09461ad583bf868a27e", advice
 
 
 class TestObservables:
@@ -937,6 +965,15 @@ class TestPresets:
         code, out, _ = run_cli("check", path)
         assert code == 0
         json.loads(out)
+
+    @pytest.mark.parametrize("length", ["3", "5"])
+    def test_thermalization_with_a_zero_mode_at_large_beta(self, length, tmp_path):
+        # an odd chain has a zero mode, whose bath occupation stays at 1/2
+        code, out, err = run_cli("model", "build", "thermalization", "--set", f"length={length}", "--set", "beta=1e7")
+        assert (code, err) == (0, "")
+        code, out, err = run_cli("stationary", write_model(tmp_path, json.loads(out)))
+        assert (code, err) == (0, "")
+        assert min(abs(x - 0.5) for x in json.loads(out)["stationary"]["occupations"]) < 1e-12
 
     def test_ca_basis_explicit_file(self, tmp_path):
         rng = np.random.default_rng(6)

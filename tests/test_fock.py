@@ -112,6 +112,14 @@ class TestKroneckerReference:
         assert np.array_equal(field_operator(x, n).entries, reference)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_field_operator_rejects_non_finite_coordinates(bad):
+    x = np.zeros(4, dtype=complex)
+    x[2] = bad
+    with pytest.raises(StructureViolation, match="coordinates have non-finite entries"):
+        field_operator(x, 2)
+
+
 class TestMemory:
     def test_cold_quadratic_hamiltonian_peak(self):
         # building the dense (2n, 2^n, 2^n) Majorana stack peaked at 144 MiB at n = 9
@@ -210,6 +218,17 @@ class TestGibbsState:
         t = validate_qf(np.diag([1.0, -1.0]).astype(complex), CA)
         with pytest.raises(StructureViolation, match="beta must be finite"):
             gibbs_state(quadratic_hamiltonian(t, 1.0), beta)
+
+    def test_negative_beta(self):
+        # the default one-end-chain H spreads 2.83: e^(300 * 2.83) overflows unless
+        # the exponent is shifted by the top of the spectrum
+        from fermicov.cli import build_preset_spec
+
+        h = quadratic_hamiltonian(build_preset_spec("one-end-chain", {}).t_s, 0.5)
+        rho = gibbs_state(h, -300.0)
+        rho.validate()
+        minus_h = DenseOperator(entries=-h.entries, mode_count=h.mode_count)
+        assert np.abs(rho.op.entries - gibbs_state(minus_h, 300.0).op.entries).max() < 1e-12
 
     def test_infinite_temperature(self):
         t = validate_qf(np.diag([1.0, -1.0]).astype(complex), CA)

@@ -969,22 +969,76 @@ class TestSteppedBlocks:
         assert len(seen) == len(reference)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(seen, reference))
 
+    def test_a_block_is_judged_state_by_state(self, monkeypatch):
+        # R_k = k (1/2 + 5e-9) J in one block of 12: state 1 is 5e-9 over, while
+        # the block's largest entry, about 6, would give it a tol of 6e-9
+        n = 6
+        j = np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(3))
+        monkeypatch.setattr(lindblad, "_majorana_flow", lambda spec, t: (np.eye(n), (0.5 + 5e-9) * j))
+        m0 = validate_covariance(0.5 * np.eye(n), MAJ)
+        bare = CovarianceMatrix(entries=0.5 * np.eye(n) + 1j * (0.5 + 5e-9) * j, basis=MAJ, mode_count=3)
+        with pytest.raises(StructureViolation) as expected:
+            bare.validate()
+        seen = []
+        with pytest.raises(NumericalFailure) as raised:
+            for m in propagate_series(random_semigroup(np.random.default_rng(27), 3, 1), m0, 0.1, 12):
+                seen.append(m.entries)
+        assert str(raised.value) == str(expected.value)
+        assert len(seen) == 1 and seen[0] is m0.entries
+
+    @pytest.mark.parametrize("first_bad", [0, 3])
+    def test_a_failing_block_is_certified_once(self, first_bad, monkeypatch):
+        n = 6
+        j = np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(3))
+        r0 = np.zeros((n, n))
+        q = 0.6 / (first_bad + 1) * j  # R_k = (k + 1) q: the state at index first_bad has |R|_2 = 0.6
+        calls = []
+
+        def certified(r, *args, _original=lindblad._check_unit_spectrum):
+            calls.append(r.shape)
+            return _original(r, *args)
+
+        monkeypatch.setattr(lindblad, "_check_unit_spectrum", certified)
+        blocks = lindblad._stepped_blocks(np.eye(n), q, r0, 8)
+        yielded = [next(blocks)]
+        with pytest.raises(NumericalFailure, match="eigenvalues leave"):
+            yielded.extend(blocks)
+        assert calls == [(8, n, n)]
+        assert [len(b) for b in yielded] == [1] + ([first_bad] if first_bad else [])
+
+    def test_yielded_blocks_are_never_overwritten(self, monkeypatch):
+        # blocks of 3 states; every block is kept until the series ends
+        rng = np.random.default_rng(28)
+        spec = random_semigroup(rng, 3, 1)
+        m0 = random_covariance(rng, 3)
+        monkeypatch.setattr(lindblad, "_BLOCK_ENTRIES", 3 * 36)
+        blocks = list(lindblad._series_blocks(spec, m0, 0.3, 10))
+        assert [len(b) for b in blocks] == [1, 3, 3, 3, 1]
+        e, q = lindblad._majorana_flow(spec, 0.3)
+        r = convert_basis(m0, MAJ).entries.imag
+        expected = [r]
+        for _ in range(10):
+            r = e @ r @ e.T + q
+            expected.append((r - r.T) / 2)
+            r = expected[-1]
+        assert np.concatenate(blocks).tobytes() == np.stack(expected).tobytes()
+
 
 class TestValidateOnce:
     """A tagged value is checked where it is built; its consumers trust the tag."""
 
     @pytest.fixture
     def validate_calls(self, monkeypatch):
-        """Checks made, by the class validated; each certificate of computed
-        states by ``_covariance_from_r`` counts once, under that name and the
-        shape of the one state or the stack of states it certifies."""
+        """Checks made, by the class validated; each spectrum certificate of
+        computed states R counts once, under its name and the shape of the one
+        state or the stack of states it certifies."""
         calls = Counter()
 
-        def certified(r, _original=lindblad._covariance_from_r):
-            calls[("_covariance_from_r", r.shape)] += 1
-            return _original(r)
+        def certified(r, *args, _original=lindblad._check_unit_spectrum):
+            calls[("_check_unit_spectrum", r.shape)] += 1
+            return _original(r, *args)
 
-        monkeypatch.setattr(lindblad, "_covariance_from_r", certified)
+        monkeypatch.setattr(lindblad, "_check_unit_spectrum", certified)
         for cls in (
             HamiltonianMatrix,
             CouplingMatrix,
@@ -1018,8 +1072,8 @@ class TestValidateOnce:
         validate_calls.clear()
         out = propagate(spec, m0, 1.0)
         assert out.basis is CA
-        # one certificate of a block of one state, and no fallback to ``validate``
-        assert validate_calls == {("_covariance_from_r", (1, 6, 6)): 1}
+        # one certificate of a block of one state, and no ``validate``
+        assert validate_calls == {("_check_unit_spectrum", (1, 6, 6)): 1}
 
     @staticmethod
     def _series_checks(monkeypatch, validate_calls):
@@ -1038,19 +1092,19 @@ class TestValidateOnce:
 
     def test_series_checks_each_stepped_state_once(self, validate_calls, monkeypatch):
         # one flow, then one batched certificate of the block of all 8 stepped
-        # states; valid states never reach ``validate``
-        assert self._series_checks(monkeypatch, validate_calls) == {("_covariance_from_r", (8, 6, 6)): 1}
+        # states; computed states never reach ``validate``
+        assert self._series_checks(monkeypatch, validate_calls) == {("_check_unit_spectrum", (8, 6, 6)): 1}
 
     def test_series_blocks_hold_at_most_block_entries(self, validate_calls, monkeypatch):
         monkeypatch.setattr(lindblad, "_BLOCK_ENTRIES", 3 * 36 + 35)  # three 6 x 6 states
         calls = self._series_checks(monkeypatch, validate_calls)
-        assert calls == {("_covariance_from_r", (3, 6, 6)): 2, ("_covariance_from_r", (2, 6, 6)): 1}
+        assert calls == {("_check_unit_spectrum", (3, 6, 6)): 2, ("_check_unit_spectrum", (2, 6, 6)): 1}
 
     def test_stationary_checks_its_one_state(self, validate_calls):
         spec = cli.build_preset_spec("xy", {})
         validate_calls.clear()
         stationary(spec)
-        assert validate_calls == {("_covariance_from_r", (8, 8)): 1}
+        assert validate_calls == {("_check_unit_spectrum", (8, 8)): 1}
 
     def test_gauge_invariant_propagation_takes_one_flow(self, validate_calls, monkeypatch):
         # M0(t) and the pairing block's E0 come from the same lifted (E, Q)
@@ -1062,7 +1116,7 @@ class TestValidateOnce:
         for t in (0.0, 3.0):
             propagate_gauge_invariant(gi, m0, np.zeros((8, 8)), t)
         assert expm_calls == [(32, 32), (32, 32)]
-        assert validate_calls == {("_covariance_from_r", (1, 16, 16)): 2}
+        assert validate_calls == {("_check_unit_spectrum", (1, 16, 16)): 2}
 
     @pytest.mark.parametrize("basis", [CA, MAJ])
     def test_normal_modes_trust_the_covariance(self, validate_calls, basis):

@@ -167,9 +167,14 @@ class TestEvolveDense:
         evolve_dense(lind, rho0, 1.0)
 
     def test_infinite_time_rejected(self):
+        # a non-finite t is the caller's error, as in ``propagate``; a finite t
+        # whose norm bound overflows is a numerical failure
         lind = _generator_case("E_SB")
+        for t in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="nonnegative and finite"):
+                evolve_dense(lind, _maximally_mixed(lind.mode_count), t)
         with pytest.raises(NumericalFailure, match="not finite"):
-            evolve_dense(lind, _maximally_mixed(lind.mode_count), np.inf)
+            evolve_dense(lind, _maximally_mixed(lind.mode_count), 1e308)
 
     def test_time_zero_is_identity(self):
         rng = np.random.default_rng(5)

@@ -23,7 +23,7 @@ from fermicov import (
 )
 from fermicov.models import chain_hamiltonian
 from fermicov.phase import TAU_STRUCT, _tol
-from fermicov.quasifree import _covariance_from_r
+from fermicov.quasifree import _check_unit_spectrum
 
 from conftest import random_covariance, random_qf
 
@@ -85,6 +85,16 @@ class TestGibbsCovariance:
         eigs = np.linalg.eigvalsh(m.entries)
         assert eigs.min() > 0.0 and eigs.max() < 1.0
 
+    @pytest.mark.parametrize("beta", [1e7, 1e16])
+    @pytest.mark.parametrize("length", [3, 5])
+    def test_zero_mode_at_large_beta(self, length, beta):
+        # an odd hopping chain has a zero mode: its particle and hole stay at 1/2
+        m = covariance_from_gibbs(_lift(chain_hamiltonian(length)), beta)
+        m.validate()
+        eigs = np.linalg.eigvalsh(m.entries)
+        assert np.sort(np.abs(eigs - 0.5))[:2] == pytest.approx([0.0, 0.0], abs=1e-12)
+        assert np.sort(np.abs(eigs - 0.5))[2:] == pytest.approx(0.5, abs=1e-12)
+
 
 @pytest.mark.parametrize("beta", [np.nan, np.inf, -np.inf])
 def test_gibbs_covariances_reject_non_finite_beta(beta):
@@ -103,6 +113,14 @@ def _lift(t0):
 
 
 class TestWick:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_coordinates(self, bad):
+        m = random_covariance(np.random.default_rng(1), 2)
+        x = annihilator_coords(0, 2)
+        x[1] = bad
+        with pytest.raises(StructureViolation, match="word vector has non-finite entries"):
+            wick_moment(m, [annihilator_coords(1, 2), x])
+
     def test_odd_word_vanishes(self):
         rng = np.random.default_rng(1)
         m = random_covariance(rng, 2)
@@ -266,10 +284,14 @@ class TestValidation:
             validate_covariance(np.block([[0.5 * np.eye(2), sym], [sym, 0.5 * np.eye(2)]]), CA)
 
 
+def _certificate(r):
+    """The spectrum certificate of computed states I/2 + iR, given R or a
+    stack of R, at the constant tol that ``lindblad`` certifies them at."""
+    _check_unit_spectrum(r, "covariance", TAU_STRUCT)
+
+
 def _verdict(check):
-    """The message ``check()`` raises, or None when it passes.  ``validate``
-    raises StructureViolation, the certificate of a computed state
-    NumericalFailure."""
+    """The message ``check()`` raises, or None when it passes."""
     try:
         check()
     except FermicovError as exc:
@@ -318,7 +340,8 @@ def margins(monkeypatch):
 
 
 class TestCovarianceFromR:
-    """The Cholesky certificate of a stepped state agrees with the ``eigvalsh``
+    """The Cholesky certificate of a state I/2 + iR, given R, or of a stack of
+    them, as ``lindblad`` applies it to computed states, agrees with the ``eigvalsh``
     reference and with ``validate``, and decides every valid state without
     computing a margin."""
 
@@ -329,7 +352,7 @@ class TestCovarianceFromR:
         L = r.shape[-1] // 2
         with np.errstate(invalid="ignore"):  # 1j * inf
             m = 0.5 * np.eye(2 * L) + 1j * r
-        verdict = _verdict(lambda: _covariance_from_r(r))
+        verdict = _verdict(lambda: _certificate(r))
         assert verdict == _reference(m)
         if r.ndim == 2 and np.isfinite(r).all():
             bare = CovarianceMatrix(entries=m, basis=MAJ, mode_count=L)
@@ -387,11 +410,10 @@ class TestCovarianceFromR:
     def test_valid_stack_is_certified_at_once(self, request):
         stack = self._stack(np.random.default_rng(60), 6, 7)
         calls = request.getfixturevalue("margins")
-        entries = _covariance_from_r(stack)
+        _certificate(stack)
         assert calls == []
         assert self._agrees(stack) is None
-        for r, m in zip(stack, entries):
-            assert m.tobytes() == _covariance_from_r(r).tobytes()  # bit for bit the single-state build
+        assert all(self._agrees(r) is None for r in stack)
 
     @pytest.mark.parametrize("position", [0, 3, 6])
     @pytest.mark.parametrize("bad", ["over", "nan", "inf"])
@@ -410,14 +432,35 @@ class TestCovarianceFromR:
         verdict = self._agrees(stack)
         assert [v is None for v in verdicts] == [j != position for j in range(7)]
         assert verdict == verdicts[position]
+        with pytest.raises(StructureViolation) as raised:
+            _certificate(stack)
+        assert raised.value.index == position
         start = "covariance eigenvalues leave [0, 1]" if bad == "over" else "covariance has non-finite entries"
         assert verdict.startswith(start)
+
+    @pytest.mark.parametrize("first", ["over", "nan"])
+    def test_first_failing_state_decides(self, first):
+        # one state over the edge and one NaN state in a block of 7: the
+        # earlier one names the verdict, with its own message and its index
+        rng = np.random.default_rng(62)
+        stack = self._stack(rng, 6, 7)
+        r = _antisymmetric(rng, 6, 0.5)
+        over = (0.5 + 2e-9) / np.linalg.norm(r, 2) * r
+        positions = {"over": (2, 5), "nan": (5, 2)}[first]
+        stack[positions[0]] = (over - over.T) / 2
+        stack[positions[1], 0, 1], stack[positions[1], 1, 0] = np.nan, np.nan
+        with pytest.raises(StructureViolation) as raised:
+            _certificate(stack)
+        assert raised.value.index == 2
+        assert str(raised.value) == _reference(0.5 * np.eye(6) + 1j * stack)
+        start = "covariance eigenvalues leave [0, 1]" if first == "over" else "covariance has non-finite entries"
+        assert str(raised.value).startswith(start)
 
     def test_nan_margin_is_a_failure(self, monkeypatch):
         # a margin that comes out NaN must not pass a state that failed its certificate
         r = _antisymmetric(np.random.default_rng(51), 4, 0.7)
         monkeypatch.setattr(np.linalg, "norm", lambda x, *args, **kwargs: np.full(x.shape[:-2], np.nan))
-        assert _verdict(lambda: _covariance_from_r(r)) == "covariance eigenvalues leave [0, 1] (residual nan)"
+        assert _verdict(lambda: _certificate(r)) == "covariance eigenvalues leave [0, 1] (residual nan)"
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_r_is_rejected_as_validate_rejects_it(self, bad):
@@ -483,10 +526,10 @@ class TestValidateSpectrum:
         verdict = _verdict(lambda: validate_covariance(m, MAJ))
         assert verdict == _reference(m)
         assert verdict.startswith("covariance eigenvalues leave [0, 1]")
-        assert _verdict(lambda: _covariance_from_r(r)) == verdict
+        assert _verdict(lambda: _certificate(r)) == verdict
         stack = np.zeros((3, 4, 4))
         stack[1] = r
-        assert _verdict(lambda: _covariance_from_r(stack)) == verdict
+        assert _verdict(lambda: _certificate(stack)) == verdict
 
     @pytest.mark.parametrize("L", [1, 3, 12])
     def test_full_covariance_matches_the_reference(self, L):

@@ -16,8 +16,12 @@ temporary directory, whose path is masked in every output.  The cases:
   ``check``, ``stationary``, ``stationary --full-matrix``, and
   ``evolve --samples 40`` from the mixed, vacuum and stationary starts at
   ``--t-final`` 10, 1e12 and 1e308;
-* the stiff ``one-end-chain`` at theta = 1e3, 1e5 and 1e7, with the same
-  commands (at theta = 1e5 the vacuum start exits 2 after one row);
+* the stiff ``one-end-chain`` at theta = 1e3, 1e5 and 1e7, and
+  ``thermalization`` at length 3 and beta = 1e7, whose chain has a zero mode,
+  with the same commands (at theta = 1e5 the vacuum start exits 2 after one row);
+* ``evolve`` on the default ``two-bath-chain`` from two ``--m0`` files: a
+  Majorana-basis covariance whose real part is 1e-11 off I/2, and the same
+  covariance in the creation/annihilation basis;
 * one series that fails in the middle of its first block: the flow is
   replaced by E = I and Q = 0.15 J, with J = [[0, I], [-I, 0]], so from the
   mixed start the rows at t = 0 to 3 print and the state at t = 4 fails;
@@ -32,6 +36,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import json
 import os
 import sys
 import tempfile
@@ -45,7 +50,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np  # noqa: E402
 
 import fermicov.lindblad  # noqa: E402
-from fermicov.cli import PRESETS, main  # noqa: E402
+from fermicov import BasisTag, convert_basis, validate_covariance  # noqa: E402
+from fermicov.cli import PRESETS, main, matrix_to_json  # noqa: E402
 
 STARTS = ("mixed", "vacuum", "stationary")
 T_FINALS = ("10", "1e12", "1e308")
@@ -72,7 +78,22 @@ def _models() -> list[tuple[str, list[str]]]:
         models.append((f"{name} length=7", ["--set", "length=7"]))
     for theta in ("1e3", "1e5", "1e7"):
         models.append((f"one-end-chain theta={theta}", ["--set", f"theta={theta}"]))
+    models.append(("thermalization length=3 beta=1e7", ["--set", "length=3", "--set", "beta=1e7"]))
     return models
+
+
+def _m0_files(directory: str) -> list[str]:
+    """Covariance files for the default ``two-bath-chain`` (n = 10): I/2 + iR with
+    a symmetric 1e-11 added to its real part, in each basis."""
+    x, y = np.random.default_rng(60).standard_normal((2, 10, 10))
+    r = (y - y.T) * 0.4 / np.linalg.norm(y - y.T, 2)
+    m0 = validate_covariance(0.5 * np.eye(10) + 1e-11 * (x + x.T) + 1j * r, BasisTag.MAJORANA)
+    paths = []
+    for basis in BasisTag:
+        paths.append(os.path.join(directory, f"m0-{basis.value}.json"))
+        with open(paths[-1], "w", encoding="utf-8") as fh:
+            json.dump({"basis": basis.value, "m0": matrix_to_json(convert_basis(m0, basis).entries)}, fh)
+    return paths
 
 
 def _run(argv: list[str]) -> tuple[int, str, str]:
@@ -103,6 +124,10 @@ def cases(directory: str):
     with mock.patch.object(fermicov.lindblad, "_majorana_flow", _mid_series_flow):
         code, out, err = _run(["evolve", path, "--m0", "mixed", "--t-final", "40", "--samples", "40"])
     yield "two-bath-chain evolve with E = I, Q = 0.15 J", code, mask(out), mask(err)
+    for m0_path in _m0_files(directory):
+        argv = ["evolve", path, "--m0", m0_path, "--t-final", "10", "--samples", "40"]
+        code, out, err = _run(argv)
+        yield mask(" ".join(["two-bath-chain", *argv])), code, mask(out), mask(err)
     for name, options in _oracle_models():
         _run(["model", "build", name, *options, "-o", path])
         for iso in ISOS:
