@@ -160,13 +160,17 @@ PRESETS = {
 
 
 def _preset_parameters(name: str, parameters: dict) -> dict:
-    """The preset's defaults overridden by ``parameters``, with an exact integer length."""
+    """The preset's defaults overridden by ``parameters``, with an exact integer
+    length.  Raises ValueError naming a key whose value is not an int or a float."""
     if name not in PRESETS:
         raise UsageError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
     defaults, _ = PRESETS[name]
     unknown = set(parameters) - set(defaults)
     if unknown:
         raise UsageError(f"preset {name!r} does not accept parameters {sorted(unknown)}")
+    for key, value in parameters.items():
+        if type(value) not in (int, float):
+            raise ValueError(f"parameter {key!r} must be a number, got {value!r}")
     merged = {**defaults, **parameters}
     if "length" in merged:
         merged["length"] = _mode_count("length", merged["length"])
@@ -284,12 +288,12 @@ def _ergodicity_section(report: ErgodicityReport) -> dict:
     }
 
 
-def _stationary_section(m_inf: CovarianceMatrix, include_matrix: bool) -> dict:
-    small = small_from_full(m_inf).entries
-    section = {"occupations": small.diagonal().real.tolist(), "currents": small.diagonal(1).imag.tolist()}
-    if include_matrix:
-        section["matrix"] = matrix_to_json(small)
-    return section
+def _rows(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Occupations 1/2 + R[i, L+i] and currents (R[i, i+1] + R[L+i, L+i+1]) / 2
+    of one Majorana R, M = I/2 + iR, or of each R in a stack."""
+    L = r.shape[-1] // 2
+    above = r.diagonal(1, -2, -1)  # R[i, i+1]
+    return 0.5 + r.diagonal(L, -2, -1), 0.5 * (above[..., : L - 1] + above[..., L:])
 
 
 def _emit(report: dict, stream) -> None:
@@ -317,12 +321,16 @@ def cmd_stationary(args, out, err) -> int:
     spec = load_model(args.model)[0]
     report = ergodicity(spec)
     m_inf = stationary(spec)
+    occupations, currents = _rows(m_inf.entries.imag)
+    section = {"occupations": occupations.tolist(), "currents": currents.tolist()}
+    if args.full_matrix:
+        section["matrix"] = matrix_to_json(small_from_full(m_inf).entries)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "stationary",
         "metadata": _metadata(spec),
         "ergodicity": _ergodicity_section(report),
-        "stationary": _stationary_section(m_inf, args.full_matrix),
+        "stationary": section,
     }
     _emit(payload, out)
     return 0
@@ -368,13 +376,11 @@ def cmd_evolve(args, out, err) -> int:
         js = np.arange(j, j + len(block))
         j += len(block)
         t = args.t_final * js / args.samples
-        above = block.diagonal(1, 1, 2)  # R[i, i+1]
-        columns = [np.where(np.isfinite(t), t, args.t_final * (js / args.samples))]
-        columns += [0.5 + block.diagonal(L, 1, 2), 0.5 * (above[:, : L - 1] + above[:, L:])]
+        columns = [np.where(np.isfinite(t), t, args.t_final * (js / args.samples)), *_rows(block)]
         if m_inf is not None:
             columns.append(np.abs(block - m_inf.entries.imag).max(axis=(1, 2)))
         out.write("".join(row % tuple(values) for values in np.column_stack(columns).tolist()))
-        del block, above, columns  # before the next block is built
+        del block, columns  # before the next block is built
     return 0
 
 
@@ -435,8 +441,11 @@ def cmd_model_build(args, out, err) -> int:
         "preset": {"name": args.preset, "parameters": merged},
     }
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            _emit(doc, fh)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                _emit(doc, fh)
+        except OSError as exc:
+            raise UsageError(f"cannot write model file: {exc}")
     else:
         _emit(doc, out)
     return 0

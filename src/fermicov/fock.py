@@ -38,10 +38,9 @@ from .phase import (
     _check_hermitian,
     _convert_entries,
     _tol,
-    block_reduce,
     convert_basis,
 )
-from .quasifree import CovarianceMatrix, validate_covariance
+from .quasifree import CovarianceMatrix, _normal_modes, validate_covariance
 
 #: Largest total mode count realized densely (4096-dimensional matrices).  A cold
 #: ``quadratic_hamiltonian`` peaks at 193 MiB of traced memory and takes 1.9 s of
@@ -193,8 +192,7 @@ def quasifree_state(m: CovarianceMatrix) -> DenseState:
     are realized up to that clamping error.
     """
     L = m.mode_count
-    r = convert_basis(m, BasisTag.MAJORANA).entries.imag
-    u, lam = block_reduce(HamiltonianMatrix(entries=1j * r, basis=BasisTag.MAJORANA, mode_count=L))
+    u, lam = _normal_modes(m)
     lam = np.clip(lam, 0.0, 0.5 - 1e-12)
     # T = (1/2) logit(1/2 + lam) per mode makes (I + e^{-2T})^{-1} = M
     g = 0.5 * (np.log(0.5 + lam) - np.log(0.5 - lam))

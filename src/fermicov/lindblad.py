@@ -44,11 +44,10 @@ from .phase import (
     HamiltonianMatrix,
     _as_matrix,
     _check_hermitian,
+    _convert_entries,
     _max_abs,
     _scale,
-    _small_block,
     _tol,
-    block_reduce,
     convert_basis,
     expm,
 )
@@ -56,6 +55,7 @@ from .quasifree import (
     CovarianceMatrix,
     SmallCovarianceMatrix,
     _check_unit_spectrum,
+    _normal_modes,
     full_from_small,
     small_from_full,
     validate_small_covariance,
@@ -412,7 +412,7 @@ def propagate_gauge_invariant(
 ) -> tuple[SmallCovarianceMatrix, np.ndarray]:
     """Small block M0(t) and pairing block A(t), both read off one lifted flow (E, Q).
 
-    M0(t) is the small block of the lifted M0 stepped once; A(t) = E0 A(0) E0^T
+    M0(t) is ``small_from_full`` of the lifted M0 stepped once; A(t) = E0 A(0) E0^T
     with E0 the top-left creation/annihilation block of E, so A = 0 stays
     exactly 0 and A decays whenever the uniqueness criterion holds.
     """
@@ -422,8 +422,9 @@ def propagate_gauge_invariant(
         raise StructureViolation("block sizes do not match the gauge-invariant spec")
     e, q = _majorana_flow(lift_gauge_invariant(spec), float(t))
     *_, block = _stepped_blocks(e, q, convert_basis(full_from_small(m0), BasisTag.MAJORANA).entries.imag, 1)
-    e0, small = _small_block(e), _small_block(0.5 * np.eye(2 * L) + 1j * block[-1])
-    return SmallCovarianceMatrix(entries=small, mode_count=L), e0 @ a_mat @ e0.T
+    m_t = CovarianceMatrix(entries=0.5 * np.eye(2 * L) + 1j * block[-1], basis=BasisTag.MAJORANA, mode_count=L)
+    e0 = _convert_entries(e, BasisTag.MAJORANA, BasisTag.CREATION_ANNIHILATION)[:L, :L]
+    return small_from_full(m_t), e0 @ a_mat @ e0.T
 
 
 def real_case_kalman(c_t, c_theta) -> bool:
@@ -457,9 +458,6 @@ def support_decomposition(m_inf: CovarianceMatrix) -> tuple[int, int, Bogoliubov
     and counts covariance eigenvalues within ``PIN_TOL`` of 1; the returned
     transform orders the pinned modes first.
     """
-    L = m_inf.mode_count
-    r = convert_basis(m_inf, BasisTag.MAJORANA).entries.imag
-    u, lam = block_reduce(HamiltonianMatrix(entries=1j * r, basis=BasisTag.MAJORANA, mode_count=L))
-    mu = 0.5 + lam
-    a = int(np.sum(mu >= 1.0 - PIN_TOL))
-    return a, L - a, u
+    u, lam = _normal_modes(m_inf)
+    a = int(np.sum(0.5 + lam >= 1.0 - PIN_TOL))
+    return a, m_inf.mode_count - a, u

@@ -95,15 +95,6 @@ def _convert_entries(entries: np.ndarray, source: BasisTag, target: BasisTag) ->
     return sl_inv @ entries @ sr
 
 
-def _small_block(x: np.ndarray) -> np.ndarray:
-    """The top-left L x L creation/annihilation block of a Majorana-basis 2L x 2L
-    matrix, or of each in a stack, elementwise: bit for bit the block
-    ``_convert_entries`` gives."""
-    L = x.shape[-1] // 2
-    y = x[..., :L, :] + 1j * x[..., L:, :]
-    return 0.5 * y[..., :L] - 0.5j * y[..., L:]
-
-
 def _check_even_square(m: np.ndarray) -> int:
     rows, cols = m.shape
     if rows != cols or rows % 2 != 0 or rows == 0:

@@ -24,13 +24,13 @@ import scipy.linalg
 from .errors import StructureViolation, WordTooLong
 from .phase import (
     BasisTag,
+    BogoliubovTransform,
     HamiltonianMatrix,
     _as_matrix,
     _check_even_square,
     _check_hermitian,
     _check_particle_hole,
     _max_abs,
-    _small_block,
     _tol,
     block_reduce,
     convert_basis,
@@ -125,6 +125,13 @@ def covariance_from_gibbs(t: HamiltonianMatrix, beta: float) -> CovarianceMatrix
     return validate_covariance(m, BasisTag.CREATION_ANNIHILATION)
 
 
+def _normal_modes(m: CovarianceMatrix) -> tuple[BogoliubovTransform, np.ndarray]:
+    """Block reduction (``block_reduce``) of M - I/2, read as iR from M = I/2 + iR
+    in the Majorana basis: u* (M - I/2) u = diag(lam, -lam), lam in [0, 1/2]."""
+    r = convert_basis(m, BasisTag.MAJORANA).entries.imag
+    return block_reduce(HamiltonianMatrix(entries=1j * r, basis=BasisTag.MAJORANA, mode_count=m.mode_count))
+
+
 def small_covariance_from_gibbs(t0, beta: float) -> SmallCovarianceMatrix:
     """Gauge-invariant convenience: (I + e^{-beta T0})^{-1} for Hermitian T0."""
     if not np.isfinite(beta):
@@ -144,9 +151,9 @@ def _logistic(x: np.ndarray) -> np.ndarray:
 
 
 def small_from_full(m: CovarianceMatrix) -> SmallCovarianceMatrix:
-    """Upper-left L x L block in the creation/annihilation basis."""
+    """Upper-left L x L block of ``convert_basis(m, CREATION_ANNIHILATION)``, in either basis."""
     L = m.mode_count
-    small = _small_block(m.entries) if m.basis is BasisTag.MAJORANA else m.entries[:L, :L].copy()
+    small = convert_basis(m, BasisTag.CREATION_ANNIHILATION).entries[:L, :L].copy()
     return SmallCovarianceMatrix(entries=small, mode_count=L)
 
 

@@ -490,9 +490,10 @@ class TestCliDigest:
 
 
 class TestObservables:
-    """``small_from_full``, which the evolve rows and the stationary report
-    read, equals the dense basis conversion's top-left block bit for bit,
-    signed zeros included, so the CSV and JSON bytes do not depend on it."""
+    """The ``stationary`` and ``evolve`` rows read R of M = I/2 + iR, and
+    equal the entries of the small block that ``--full-matrix`` prints bit for
+    bit, signed zeros included.  ``small_from_full`` is the dense basis
+    conversion's top-left block, in either basis."""
 
     @staticmethod
     def _assert_same_bits(got, expected):
@@ -547,23 +548,43 @@ class TestObservables:
         self._assert_reads_small_block(m0)
         self._assert_reads_small_block(convert_basis(m0, BasisTag.MAJORANA))
 
-    @pytest.mark.parametrize("n", [2, 4, 6, 10, 16, 24, 32, 48])
-    def test_real_flow_matrices(self, n):
-        # the lifted gauge-invariant flow reads its E0 this way; E = I at t = 0 is all signed zeros
-        from fermicov.lindblad import _majorana_flow
-        from fermicov.phase import _convert_entries, _small_block
+    @pytest.mark.parametrize("name", sorted(cli.PRESETS))
+    @pytest.mark.parametrize("length", [None, 7])
+    def test_stationary_rows_are_the_full_matrix_entries(self, name, length, tmp_path):
+        parameters = {} if length is None else {"length": length}
+        path = write_model(tmp_path, {"schema_version": 1, "preset": {"name": name, "parameters": parameters}})
+        code, out, err = run_cli("stationary", path, "--full-matrix")
+        if code == 2:  # the star has no unique stationary state
+            assert err.startswith("error: NonUniqueStationary: ")
+            return
+        assert code == 0
+        section = json.loads(out)["stationary"]
+        small = np.array(section["matrix"], dtype=float).view(complex)[..., 0]
+        self._assert_same_bits(np.array(section["occupations"]), small.diagonal().real)
+        self._assert_same_bits(np.array(section["currents"]), small.diagonal(1).imag)
+        del section["matrix"]
+        assert json.loads(run_cli("stationary", path)[1])["stationary"] == section
 
-        specs = [random_semigroup(np.random.default_rng(n), n // 2, 1)]
+    @pytest.mark.parametrize("n", [2, 4, 6, 10, 16, 24, 32, 48])
+    def test_real_flow_matrices(self, n, monkeypatch):
+        # the lifted gauge-invariant flow reads its E0 off the real flow matrix E, and at t = 0
+        # E0 = I carries a nonzero pairing block through unchanged
+        from fermicov import lift_gauge_invariant, propagate_gauge_invariant, validate_small_covariance
+
+        lifted = []
+        monkeypatch.setattr(cli, "lift_gauge_invariant", lambda gi: lifted.append(gi) or lift_gauge_invariant(gi))
         for name in sorted(cli.PRESETS):
             with contextlib.suppress(errors.StructureViolation):  # below the preset's smallest length
-                specs.append(build_preset_spec(name, {"length": n // 2}))
-        assert len(specs) >= 3
-        for spec in specs:
-            for t in (0.0, 0.7, 1e6):
-                e, _ = _majorana_flow(spec, t)
-                assert e.dtype == float
-                expected = _convert_entries(e, BasisTag.MAJORANA, CA)[: n // 2, : n // 2]
-                self._assert_same_bits(_small_block(e), expected)
+                build_preset_spec(name, {"length": n // 2})
+        assert len(lifted) >= 2
+        rng = np.random.default_rng(n)
+        for gi in lifted:
+            L = gi.mode_count
+            a0 = rng.uniform(0.5, 1.0, (L, L)) + 1j * rng.uniform(0.5, 1.0, (L, L))
+            m0 = validate_small_covariance(np.diag(np.linspace(0.1, 0.9, L)))
+            small, a = propagate_gauge_invariant(gi, m0, a0, 0.0)
+            assert np.array_equal(a, a0)
+            np.testing.assert_allclose(small.entries, m0.entries, rtol=0, atol=1e-15)
 
 
 class TestChainAtLength80:
@@ -813,8 +834,8 @@ def _explicit_entry(field, entry):
     return doc
 
 
-def _preset(**section):
-    return {"schema_version": 1, "preset": {"name": "one-end-chain", **section}}
+def _preset(name="one-end-chain", **section):
+    return {"schema_version": 1, "preset": {"name": name, **section}}
 
 
 _CHAIN = _preset()
@@ -875,6 +896,14 @@ BAD_INPUTS = {
     "mode_count true": (_explicit_with("mode_count", True), None, ["check"]),
     "mode_count string": (_explicit_with("mode_count", "1"), None, ["check"]),
     "bath_modes 1.5": (_explicit_with("bath_modes", 1.5), None, ["check"]),
+    # preset parameters that are not an int or a float
+    "theta string": (_preset(parameters={"theta": "1"}), None, ["check"]),
+    "theta true": (_preset(parameters={"theta": True}), None, ["check"]),
+    "star m_b0 string": (_preset(name="star", parameters={"m_b0": "0.5"}), None, ["check"]),
+    "star theta null": (_preset(name="star", parameters={"theta": None}), None, ["check"]),
+    "xy kappa true": (_preset(name="xy", parameters={"kappa": True}), None, ["check"]),
+    "two-bath-chain n1 true": (_preset(name="two-bath-chain", parameters={"n1": True}), None, ["check"]),
+    "thermalization beta true": (_preset(name="thermalization", parameters={"beta": True}), None, ["check"]),
     # nesting deeper than the JSON decoder's recursion limit
     "model file nested too deeply": (_DEEP, None, ["check"]),
     "m0 file nested too deeply": (_CHAIN, _DEEP, ["evolve", "--t-final", "1", "--samples", "2"]),
@@ -896,6 +925,22 @@ class TestBadInputs:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "case",
+        ["theta string", "theta true", "star m_b0 string", "star theta null", "xy kappa true",
+         "two-bath-chain n1 true", "thermalization beta true"],
+    )
+    def test_preset_parameter_of_another_type_is_named(self, case, tmp_path):
+        (key,) = BAD_INPUTS[case][0]["preset"]["parameters"]
+        err = self._run(case, tmp_path)[2]
+        assert err.startswith(f"error: malformed model file: parameter {key!r} must be a number, got ")
+
+    @pytest.mark.parametrize("target", ["missing-dir/x.json", ""], ids=["missing directory", "directory"])
+    def test_model_build_to_an_unwritable_path(self, target, tmp_path):
+        code, out, err = run_cli("model", "build", "star", "-o", str(tmp_path / target))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: cannot write model file: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("case", ["m_b entry 1e200", "m0 entry 1e200"])
     def test_huge_entry_fails_the_spectrum_check(self, case, tmp_path):

@@ -10,7 +10,10 @@ Two ``-v`` listings diff to the cases whose output differs.
 
 The runs go through ``fermicov.cli.main`` in one process, with the
 ``fermicov`` of this checkout's ``src/``.  Model files are written to a
-temporary directory, whose path is masked in every output.  The cases:
+temporary directory, whose path is masked in every output.  Each model file is
+removed before its build, so a case whose build fails runs on no model, not on
+the previous one; the two builds that are not cases (the mid-series model and
+each oracle model) must succeed, or the tool exits with an error.  The cases:
 
 * the six presets at their default length and at length 7, each with
   ``check``, ``stationary``, ``stationary --full-matrix``, and
@@ -34,6 +37,7 @@ temporary directory, whose path is masked in every output.  The cases:
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import io
 import json
@@ -102,6 +106,20 @@ def _run(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def _build(path: str, name: str, options: list[str]) -> tuple[int, str, str]:
+    """``model build`` to ``path``, removed first, so a failed build leaves no model behind."""
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(path)
+    return _run(["model", "build", name, *options, "-o", path])
+
+
+def _build_or_fail(path: str, name: str, options: list[str]) -> None:
+    """A build that is not a digest case: it must succeed."""
+    code, _, err = _build(path, name, options)
+    if code != 0:
+        raise SystemExit(f"model build {name} {' '.join(options)} exited {code}: {err}")
+
+
 def _mid_series_flow(spec, t):
     zero, eye = np.zeros((spec.mode_count, spec.mode_count)), np.eye(spec.mode_count)
     return np.eye(2 * spec.mode_count), 0.15 * np.block([[zero, eye], [-eye, zero]])
@@ -115,12 +133,12 @@ def cases(directory: str):
 
     path = os.path.join(directory, "model.json")
     for label, options in _models():
-        code, out, err = _run(["model", "build", label.split()[0], *options, "-o", path])
+        code, out, err = _build(path, label.split()[0], options)
         yield f"model build {label}", code, out, err
         for argv in _commands(path):
             code, out, err = _run(argv)
             yield mask(" ".join([label, *argv])), code, mask(out), mask(err)
-    _run(["model", "build", "two-bath-chain", "-o", path])
+    _build_or_fail(path, "two-bath-chain", [])
     with mock.patch.object(fermicov.lindblad, "_majorana_flow", _mid_series_flow):
         code, out, err = _run(["evolve", path, "--m0", "mixed", "--t-final", "40", "--samples", "40"])
     yield "two-bath-chain evolve with E = I, Q = 0.15 J", code, mask(out), mask(err)
@@ -129,7 +147,7 @@ def cases(directory: str):
         code, out, err = _run(argv)
         yield mask(" ".join(["two-bath-chain", *argv])), code, mask(out), mask(err)
     for name, options in _oracle_models():
-        _run(["model", "build", name, *options, "-o", path])
+        _build_or_fail(path, name, options)
         for iso in ISOS:
             argv = ["oracle-compare", path, "--t", "1", "--iso", iso]
             code, out, err = _run(argv)
