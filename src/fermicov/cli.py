@@ -49,11 +49,12 @@ SCHEMA_VERSION = 1
 #: a 1024 x 1024 Lyapunov equation.
 L_MODEL_MAX = 512
 #: Largest t * ``generator_norm_bound`` an ``oracle-compare`` run may evolve.
-#: At L = 3 one unit costs about 1.5e-5 s of CPU on one thread (``--t 1e4`` on
-#: the default ``one-end-chain``, 5e4 units, takes 0.73-0.77 s), so an accepted
-#: run stays under 1 s.  On 8 x 8 matrices numpy's per-call overhead outweighs
-#: the flops the matrix-free Taylor action saves: the 64 x 64 superoperator it
-#: replaced took 0.38 s for the same run.
+#: At L = 3 one unit costs about 2.5e-5 s of CPU on one thread: ``--t 1e4`` on
+#: the default ``one-end-chain``, 5e4 units, took 1.1-1.4 s on a loaded shared
+#: Xeon VM, so an accepted run takes a second or two.  On 8 x 8 matrices numpy's
+#: per-call overhead outweighs the flops the matrix-free Taylor action saves: the
+#: 64 x 64 superoperator it replaced took 0.38 s for the same run on a machine
+#: where a Taylor loop taking 1.5-1.6 times as long as this one took 0.73-0.77 s.
 ORACLE_WORK_MAX = 5e4
 
 _INPUT_ERRORS = (StructureViolation, TooLarge, UnsupportedIso)

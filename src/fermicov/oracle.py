@@ -62,7 +62,9 @@ from .phase import BasisTag, HamiltonianMatrix, _max_abs, expm, validate_qf
 #: 2^L x 2^L matrices (at the cap, 64 x 64: tens of ms and under 2 MiB at t = 1);
 #: ``stationary_dense`` builds the 4^L x 4^L superoperator (256 MiB at the cap).
 L_ORACLE_MAX = 6
-#: Jump-matrix eigenvalues in [-PSD_CLAMP, 0) are clamped to zero.
+#: Jump-matrix eigenvalues in [-PSD_CLAMP * max(1, lam_max), 0) are clamped to
+#: zero: the rounding in the eigenvalues of (1/2) Theta (I - M_B) Theta* grows
+#: with |Theta|^2.
 PSD_CLAMP = 1e-8
 #: theta_m of Al-Mohy and Higham (2011), Table 3.1, for tolerance 2^-53: a
 #: Taylor polynomial of degree m taken s times reaches backward error 2^-53
@@ -89,7 +91,7 @@ def _jump_matrix(theta: np.ndarray, m_b: np.ndarray) -> np.ndarray:
 
 def _jumps_from_matrix(c: np.ndarray, mode_count: int, twisted: bool) -> list[np.ndarray]:
     lam, vec = scipy.linalg.eigh((c + c.conj().T) / 2)
-    if lam.size and lam.min() < -PSD_CLAMP:
+    if lam.size and lam.min() < -PSD_CLAMP * max(1.0, lam.max()):
         raise NotPSD(f"jump coefficient matrix has eigenvalue {lam.min():.3e}")
     lam = np.clip(lam, 0.0, None)
     cutoff = max(1e-12 * (lam.max() if lam.size else 0.0), 1e-300)
@@ -213,6 +215,13 @@ def evolve_dense(lind: DenseLindbladian, rho0: DenseState, t: float) -> DenseSta
     rescaled by e^(t mu / s).  (m, s) come from t times the ``_norm_bound``
     of the shifted generator, an upper bound on the 1-norm their error
     analysis uses, so the backward-error guarantee holds.
+
+    L preserves Hermiticity, so rho0 is replaced by its Hermitian part, which
+    evolves to the same certified state, and each term X is Hermitian: with
+    Y = [K; L_1; ...; L_J] X, its product is K X + (K X)* + sum_j (L_j X) L_j*,
+    two matrix products.  The sum's max-norm is read only once the running
+    bound |rho_start|_max + sum_j |term_j|_max passes the stop test, so each
+    stop comes at the same term as with |rho|_max read every term.
     """
     if not (np.isfinite(t) and t >= 0):
         raise ValueError("evolution time must be nonnegative and finite")
@@ -221,32 +230,36 @@ def evolve_dense(lind: DenseLindbladian, rho0: DenseState, t: float) -> DenseSta
         raise StructureViolation("state and generator mode counts differ")
     dim = 2**lind.mode_count
     jumps = np.array([jump.entries for jump in lind.jump_ops], dtype=complex).reshape(-1, dim, dim)
-    jumps_h = jumps.conj().transpose(0, 2, 1)
     k = _effective_hamiltonian(lind)
     # tr of the vectorized generator: 2 dim Re tr K + sum_j |tr L_j|^2
     traces = np.trace(jumps, axis1=1, axis2=2)
     mu = (2 * dim * np.trace(k).real + float(np.sum(np.abs(traces) ** 2))) / dim**2
     k = k - 0.5 * mu * np.eye(dim)
-    k_h = k.conj().T
     norm = t * _norm_bound(k, jumps)
     if not np.isfinite(norm):
         raise NumericalFailure(f"dense evolution norm bound t * |L - mu|_1 = {norm} is not finite")
     m, s = _taylor_degree_and_steps(norm)
     eta = np.exp(t * mu / s)
+    left = np.concatenate([k[None], jumps]).reshape(-1, dim)
+    right = jumps.conj().transpose(0, 2, 1).reshape(-1, dim)
 
-    rho = rho0.op.entries
+    rho = (rho0.op.entries + rho0.op.entries.conj().T) / 2
     for _ in range(s):
         term = rho
-        c1 = np.abs(term).max()
+        c1 = bound = np.abs(rho).max()
         for j in range(m):
-            product = k @ term + term @ k_h + (jumps @ term @ jumps_h).sum(axis=0)
-            term = (t / (s * (j + 1))) * product
+            y = (left @ term).reshape(-1, dim, dim)
+            term = y[0] + y[0].conj().T
+            term += y[1:].transpose(1, 0, 2).reshape(dim, -1) @ right
+            term *= t / (s * (j + 1))
             c2 = np.abs(term).max()
-            rho = rho + term
-            if c1 + c2 <= 2.0**-53 * np.abs(rho).max():
+            rho += term
+            bound += c2
+            # (1 + 2^-40) covers the rounding of rho's and the bound's sums
+            if c1 + c2 <= 2.0**-53 * (1 + 2.0**-40) * bound and c1 + c2 <= 2.0**-53 * np.abs(rho).max():
                 break
             c1 = c2
-        rho = eta * rho
+        rho *= eta
     if not np.all(np.isfinite(rho)):
         raise NumericalFailure("dense evolution produced non-finite entries")
     tr = np.trace(rho).real

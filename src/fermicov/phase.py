@@ -242,7 +242,9 @@ def block_reduce(t: HamiltonianMatrix) -> tuple[BogoliubovTransform, np.ndarray]
     s, z = scipy.linalg.schur(a, output="real")
     starts = np.flatnonzero(np.diag(s, -1))
     b = (s[starts, starts + 1] - s[starts + 1, starts]) / 2
-    zeros = np.setdiff1d(np.arange(len(a)), np.concatenate([starts, starts + 1]))
+    paired = np.zeros(len(a), dtype=bool)
+    paired[starts] = paired[starts + 1] = True
+    zeros = np.flatnonzero(~paired)
     half = len(zeros) // 2
     first = np.concatenate([np.where(b > 0, starts, starts + 1), zeros[:half]])
     second = np.concatenate([np.where(b > 0, starts + 1, starts), zeros[half:]])

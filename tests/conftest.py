@@ -13,6 +13,7 @@ from fermicov import (
     covariance_from_gibbs,
     make_semigroup,
     validate_coupling,
+    validate_covariance,
     validate_qf,
 )
 
@@ -54,4 +55,22 @@ def random_semigroup(rng, system_modes: int, bath_modes: int, coupling_scale: fl
         random_qf(rng, system_modes),
         random_coupling(rng, system_modes, bath_modes, coupling_scale),
         random_covariance(rng, bath_modes, beta=0.9),
+    )
+
+
+def strongly_coupled_semigroup():
+    """Random L = 3, K = 1 model with |Theta| = 1e5, whose jump coefficient
+    matrix (1/2) Theta (I - M_B) Theta* has eigenvalues up to about 1e10, so
+    its rounding puts a zero eigenvalue at -3.9e-8.  That rounding depends on
+    the last bits, so Theta is built as a model file stores it, with + 0.0
+    turning the -0.0 real parts into 0.0."""
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(6, 6))
+    w = rng.normal(size=(6, 2))
+    r = rng.uniform(-0.45, 0.45)
+    a = x - x.T
+    return make_semigroup(
+        validate_qf(1j * a / np.linalg.norm(a, 2), BasisTag.MAJORANA),
+        validate_coupling(1j * w / np.linalg.norm(w, 2) * 1e5 + 0.0, BasisTag.MAJORANA),
+        validate_covariance(np.array([[0.5, 1j * r], [-1j * r, 0.5]]), BasisTag.MAJORANA),
     )

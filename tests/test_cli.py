@@ -23,7 +23,7 @@ from fermicov.cli import (
     matrix_to_json,
 )
 
-from conftest import random_semigroup
+from conftest import random_semigroup, strongly_coupled_semigroup
 
 CA = BasisTag.CREATION_ANNIHILATION
 
@@ -463,7 +463,7 @@ class TestBlocks:
 
 class TestCliDigest:
     def test_cli_output_is_pinned(self, capsys, monkeypatch):
-        """``tools/cli_digest.py`` over its 232 CLI cases.  The digest is
+        """``tools/cli_digest.py`` over its 238 CLI cases.  The digest is
         re-recorded, with a CHANGES.md line, only when CLI output changes on
         purpose.  It is tied to the environment it was recorded in (numpy
         2.4.6, scipy 1.17.1, OpenBLAS 0.3.31 on an x86-64 Xeon; the same at 1,
@@ -485,8 +485,8 @@ class TestCliDigest:
             " the last commit that passed, and re-record the digest only if the change is intended"
             " or the numpy, scipy or BLAS build differs from the one named in this test's docstring"
         )
-        assert capsys.readouterr().out == "232 cases, exit codes {0: 204, 1: 7, 2: 21}\n", advice
-        assert digest == "cc82ad6bbeee0eb4b28c66a593b27a68e88f83c4f240d09461ad583bf868a27e", advice
+        assert capsys.readouterr().out == "238 cases, exit codes {0: 210, 1: 7, 2: 21}\n", advice
+        assert digest == "9f9c64b95b2549202370464023cb50c33f250c798399dbc11cd442c360a58ff4", advice
 
 
 class TestObservables:
@@ -730,6 +730,13 @@ class TestOracleCompare:
         code, out, _ = run_cli("oracle-compare", path, "--t", "0.7")
         assert code == 0
         assert json.loads(out)["oracle"]["max_deviation"] <= 1e-10
+
+    def test_strongly_coupled_model(self, tmp_path):
+        # a zero eigenvalue of its jump matrix rounds to -3.9e-8, far inside its 1e10 scale
+        path = write_model(tmp_path, explicit_doc(strongly_coupled_semigroup()))
+        code, out, err = run_cli("oracle-compare", path, "--t", "1e-12")
+        assert code == 0, err
+        assert json.loads(out)["oracle"]["max_deviation"] <= 1e-8
 
     def test_too_large_exits_one(self, tmp_path):
         code, out, _ = run_cli("model", "build", "two-bath-chain", "--set", "length=5")

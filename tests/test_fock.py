@@ -121,18 +121,25 @@ def test_field_operator_rejects_non_finite_coordinates(bad):
 
 
 class TestMemory:
-    def test_cold_quadratic_hamiltonian_peak(self):
-        # building the dense (2n, 2^n, 2^n) Majorana stack peaked at 144 MiB at n = 9
-        t = random_qf(np.random.default_rng(80), 9)
+    @staticmethod
+    def _cold_peak(t):
+        """Traced peak of ``quadratic_hamiltonian(t, 0.5)`` with its row cache cleared."""
         quadratic_hamiltonian(random_qf(np.random.default_rng(81), 2), 0.5)
         fock._majorana_rows.cache_clear()
         tracemalloc.start()
         try:
             quadratic_hamiltonian(t, 0.5)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 32 * 2**20
+
+    def test_cold_quadratic_hamiltonian_peak(self):
+        # building the dense (2n, 2^n, 2^n) Majorana stack peaked at 144 MiB at n = 9
+        assert self._cold_peak(random_qf(np.random.default_rng(80), 9)) < 32 * 2**20
+
+    def test_cold_quadratic_hamiltonian_peak_at_ten_modes(self):
+        # the row gather held three 1024 x 1024 matrices (48 MiB); the result is 16 MiB
+        assert self._cold_peak(random_qf(np.random.default_rng(83), 10)) < 32 * 2**20
 
     def test_caches_hold_no_dense_matrices(self):
         # what is still allocated once the results are dropped is what the caches hold
@@ -190,15 +197,17 @@ class TestQuadraticHamiltonian:
         par = parity_op(3).entries
         assert np.abs(h @ par - par @ h).max() < 1e-12
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_row_gather_equals_dense_products(self, n):
-        # the dense form sum_i g_i phi(h_i), with each g_i multiplied in as a matrix
+        # the dense form sum_i g_i phi(h_i), with each g_i multiplied in as a matrix;
+        # each entry sums at most 8n terms of size <= max|dense| in another order
         t = random_qf(np.random.default_rng(40 + n), n)
         h = 0.5 * 0.5 * convert_basis(t, BasisTag.MAJORANA).entries
         gs = [g.entries for g in majorana_ops(n)]
         dense = sum(g @ field_operator(row, n).entries for g, row in zip(gs, h))
         dense = (dense + dense.conj().T) / 2
-        assert np.array_equal(quadratic_hamiltonian(t, 0.5).entries, dense)
+        got = quadratic_hamiltonian(t, 0.5).entries
+        assert np.abs(got - dense).max() <= 4 * n * np.finfo(float).eps * np.abs(dense).max()
 
 
 def test_nan_diagonal_is_not_a_state():

@@ -34,7 +34,7 @@ from fermicov import fock, oracle
 from fermicov.models import XYParams
 from fermicov.oracle import apply_generator, generator_norm_bound, superoperator
 
-from conftest import random_covariance, random_qf, random_semigroup
+from conftest import random_covariance, random_qf, random_semigroup, strongly_coupled_semigroup
 
 MAJ = BasisTag.MAJORANA
 BOTH_ISOS = [IsomorphismTag.E_SB, IsomorphismTag.E_BS]
@@ -88,6 +88,15 @@ class TestBuildLindbladian:
         object.__setattr__(bad.m_b, "entries", 0.5 * np.eye(2) + 0.6 * np.array([[0, 1j], [-1j, 0]]))
         with pytest.raises(NotPSD):
             build_lindbladian(bad, IsomorphismTag.E_BS)
+
+    @pytest.mark.parametrize("iso", BOTH_ISOS)
+    def test_strong_coupling_rounding_is_not_psd(self, iso):
+        # the check scales with the largest eigenvalue, like the structure checks in ``phase``
+        spec = strongly_coupled_semigroup()
+        c = oracle._jump_matrix(spec.theta.entries, spec.m_b.entries)
+        lam = scipy.linalg.eigh((c + c.conj().T) / 2)[0]
+        assert lam.min() < -oracle.PSD_CLAMP
+        assert len(build_lindbladian(spec, iso).jump_ops) == 2  # rank of Theta
 
     def test_empty_bath_jumps_annihilate(self):
         # bath with absence 1 produces only particle-removing jump operators
@@ -154,6 +163,27 @@ class TestEvolveDense:
             (dim, dim), order="F"
         )
         got = evolve_dense(lind, state, t).op.entries
+        assert np.abs(got - expected).max() <= 1e-11 * max(1.0, np.abs(expected).max())
+
+    @pytest.mark.parametrize("t", [0.5, 60.0])
+    def test_nearly_hermitian_start_evolves_as_its_hermitian_part(self, t):
+        # the Taylor loop reads X K* as (K X)*, which holds for a Hermitian X
+        lind = _generator_case("E_SB")
+        n = lind.mode_count
+        dim = 2**n
+        rng = np.random.default_rng(22)
+        x, y = rng.standard_normal((2, dim, dim)) + 1j * rng.standard_normal((2, dim, dim))
+        herm = x @ x.conj().T
+        herm /= np.trace(herm).real
+        skew = y - y.conj().T
+        rho0 = herm + 1e-12 * skew / np.abs(skew).max()
+        got, part = (
+            evolve_dense(lind, DenseState(op=DenseOperator(entries=r, mode_count=n)), t).op.entries
+            for r in (rho0, herm)
+        )
+        assert np.abs(got - part).max() <= 1e-14
+        expected = scipy.linalg.expm(t * superoperator(lind)) @ herm.flatten("F")
+        expected = expected.reshape((dim, dim), order="F")
         assert np.abs(got - expected).max() <= 1e-11 * max(1.0, np.abs(expected).max())
 
     def test_never_builds_the_superoperator(self, monkeypatch):

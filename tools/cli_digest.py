@@ -32,7 +32,9 @@ each oracle model) must succeed, or the tool exits with an error.  The cases:
   presets at length 3 (``thermalization`` at 2, as its bath grows with L and
   the command takes at most two bath modes), where E_B1SB2 exits 1 on a
   one-mode bath, and on the default-length ``two-bath-chain``, which exits 1
-  as too large.
+  as too large;
+* ``oracle-compare --t 60 --iso E_BS`` on the same six presets, where the
+  Taylor action takes several steps.
 """
 
 from __future__ import annotations
@@ -148,8 +150,11 @@ def cases(directory: str):
         yield mask(" ".join(["two-bath-chain", *argv])), code, mask(out), mask(err)
     for name, options in _oracle_models():
         _build_or_fail(path, name, options)
-        for iso in ISOS:
-            argv = ["oracle-compare", path, "--t", "1", "--iso", iso]
+        runs = [["--t", "1", "--iso", iso] for iso in ISOS]
+        if options:  # a preset at length 3 (or 2)
+            runs.append(["--t", "60", "--iso", "E_BS"])
+        for run in runs:
+            argv = ["oracle-compare", path, *run]
             code, out, err = _run(argv)
             yield mask(" ".join([name, *options[1:], *argv])), code, mask(out), mask(err)
 
