@@ -14,7 +14,8 @@ phase of each row's one nonzero, computed by bit arithmetic on the row index
 operators.  Each product g_i g_j is a signed permutation too, taking row r to
 column r ^ mask with one mask per site pair: covariances are gathers of rho
 along them, and a quadratic Hamiltonian is one indexed write of its summed
-values per (mask, row).  The rest (Gibbs states, tensor embeddings, partial
+values per (mask, row).  The rest (Gibbs states, quasi-free states as Gibbs
+states of a Hamiltonian built in the Majorana basis, tensor embeddings, partial
 traces) is exact dense linear algebra, the brute-force check of the covariance
 machinery.  Sizes are capped at ``N_DENSE_MAX`` total modes.
 
@@ -38,10 +39,11 @@ from .phase import (
     HamiltonianMatrix,
     _check_hermitian,
     _convert_entries,
+    _real_modes,
     _tol,
     convert_basis,
 )
-from .quasifree import CovarianceMatrix, _normal_modes, validate_covariance
+from .quasifree import CovarianceMatrix, validate_covariance
 
 #: Largest total mode count realized densely (4096-dimensional matrices).  A cold
 #: ``quadratic_hamiltonian`` peaks at 75 MiB of traced memory and takes 0.09 s of
@@ -195,20 +197,16 @@ def gibbs_state(h: DenseOperator, beta: float) -> DenseState:
 def quasifree_state(m: CovarianceMatrix) -> DenseState:
     """Dense quasi-free state with the given covariance matrix.
 
-    Inverts the Gibbs closed form through the block reduction of M - I/2, read
-    as iR from M = I/2 + iR in the Majorana basis, which keeps the +-lambda
-    pairing of the generator exact; covariance
-    eigenvalues are clamped away from {0, 1} by 1e-12, so pinned covariances
-    are realized up to that clamping error.
+    Inverts the Gibbs closed form on the normal modes O^T R O = [[0, Lam], [-Lam, 0]]
+    of R in M = I/2 + iR (``_real_modes``), whose +-lambda pairing is exact:
+    T = i (O_1 G O_2^T - transpose), G = artanh(2 Lam), in the Majorana basis.
+    Lam is clamped to [0, 1/2 - 1e-12], so pinned covariances are realized up
+    to that clamping error.
     """
     L = m.mode_count
-    u, lam = _normal_modes(m)
-    lam = np.clip(lam, 0.0, 0.5 - 1e-12)
-    # T = (1/2) logit(1/2 + lam) per mode makes (I + e^{-2T})^{-1} = M
-    g = 0.5 * (np.log(0.5 + lam) - np.log(0.5 - lam))
-    diag = np.concatenate([g, -g])
-    t_entries = (u.entries * diag) @ u.entries.conj().T
-    t = HamiltonianMatrix(entries=t_entries, basis=BasisTag.CREATION_ANNIHILATION, mode_count=L)
+    o, lam = _real_modes(convert_basis(m, BasisTag.MAJORANA).entries.imag)
+    upper = (o[:, :L] * np.arctanh(2 * np.clip(lam, 0.0, 0.5 - 1e-12))) @ o[:, L:].T
+    t = HamiltonianMatrix(entries=1j * (upper - upper.T), basis=BasisTag.MAJORANA, mode_count=L)
     return gibbs_state(quadratic_hamiltonian(t, 1.0), 1.0)
 
 

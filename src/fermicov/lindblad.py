@@ -48,6 +48,7 @@ from .phase import (
     _max_abs,
     _scale,
     _tol,
+    block_reduce,
     convert_basis,
     expm,
 )
@@ -55,7 +56,6 @@ from .quasifree import (
     CovarianceMatrix,
     SmallCovarianceMatrix,
     _check_unit_spectrum,
-    _normal_modes,
     full_from_small,
     small_from_full,
     validate_small_covariance,
@@ -458,6 +458,7 @@ def support_decomposition(m_inf: CovarianceMatrix) -> tuple[int, int, Bogoliubov
     and counts covariance eigenvalues within ``PIN_TOL`` of 1; the returned
     transform orders the pinned modes first.
     """
-    u, lam = _normal_modes(m_inf)
+    r = convert_basis(m_inf, BasisTag.MAJORANA).entries.imag
+    u, lam = block_reduce(HamiltonianMatrix(entries=1j * r, basis=BasisTag.MAJORANA, mode_count=len(r) // 2))
     a = int(np.sum(0.5 + lam >= 1.0 - PIN_TOL))
     return a, m_inf.mode_count - a, u

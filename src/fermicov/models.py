@@ -138,14 +138,17 @@ def two_bath_chain(params: ChainParams) -> tuple[GaugeInvariantSpec, ChainStatio
     m_b0 = np.diag([params.n1, params.n_l]).astype(complex)
     spec = make_gauge_invariant(t0, theta0, m_b0)
 
-    q1, ql = params.theta1**2, params.theta_l**2
+    q1, ql = params.theta1 * params.theta1, params.theta_l * params.theta_l  # inf, not OverflowError
     s = 4 * (q1 + ql) + q1 * ql * (q1 + ql)
     n1, nl = params.n1, params.n_l
+    # s = (q1 + ql)(4 + q1 ql) divided out; a : c = q1 ql : 4, scaled to stay finite
+    a, c = (1.0, 4 / (q1 * ql)) if q1 * ql > 4 else (q1 * ql, 4.0)
+    b = (q1 * n1 + ql * nl) / (q1 + ql)
     prediction = ChainStationaryPrediction(
-        p1=((q1 * ql**2 + q1**2 * ql + 4 * q1) * n1 + 4 * ql * nl) / s,
-        pm=(q1 * (ql**2 + 4) * n1 + ql * (q1**2 + 4) * nl) / s,
-        pL=(4 * q1 * n1 + (ql * q1**2 + ql**2 * q1 + 4 * ql) * nl) / s,
-        current=2 * q1 * ql * (n1 - nl) / s,
+        p1=(a * n1 + c * b) / (a + c),
+        pm=(a * (ql * n1 + q1 * nl) / (q1 + ql) + c * b) / (a + c),
+        pL=(a * nl + c * b) / (a + c),
+        current=2 * a * (n1 - nl) / ((q1 + ql) * (a + c)),
         s=s,
     )
     return spec, prediction

@@ -20,10 +20,11 @@ through ``_check_particle_hole``: its entries are converted to the Majorana
 basis (Majorana-tagged entries are read in place) and their real or imaginary
 part is compared with the target.
 
-The same fact makes the Bogoliubov reduction real: ``block_reduce`` takes
-T = iA in the Majorana basis and reads its modes and its transform off one
-real Schur form of A, a real orthogonal matrix that it converts back to the
-creation/annihilation basis.
+The same fact makes every normal-mode reduction real: ``_real_modes`` reads a
+real orthogonal transform and the modes of a real antisymmetric A (A of T = iA,
+or R of M = I/2 + iR) off one real Schur form and certifies them once.
+``block_reduce`` converts that transform to the creation/annihilation basis;
+Gibbs covariances and dense quasi-free states build on it in the Majorana basis.
 
 A tagged value is validated once, by the function that builds it: a
 ``validate_*`` constructor for caller data, each computation for its result.
@@ -223,22 +224,17 @@ def expm(m) -> np.ndarray:
     return out
 
 
-def block_reduce(t: HamiltonianMatrix) -> tuple[BogoliubovTransform, np.ndarray]:
-    """Reduce a quadratic-Hamiltonian matrix to diag(Lambda, -Lambda).
+def _real_modes(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Normal modes of a real antisymmetric A: a real orthogonal O and the L
+    values lam >= 0, sorted descending and stably, with O^T A O = [[0, Lam], [-Lam, 0]].
 
-    Returns a Bogoliubov transform ``u`` (creation/annihilation basis) and the
-    vector ``lam`` of L nonnegative values sorted descending, with
-    u* T u = diag(lam, -lam) up to ``TAU_NUM`` (scaled by the matrix norm).
-
-    In the Majorana basis T = iA with A real antisymmetric, and one real
-    Schur form A = Z S Z^T is block diagonal.  Each 2 x 2 block
+    One real Schur form A = Z S Z^T is block diagonal.  Each 2 x 2 block
     [[0, b], [-b, 0]] is one mode of value |b|: its two columns of Z become
-    Majorana coordinates k and k + L, swapped when b < 0, which is the
-    Majorana form [[0, lam], [-lam, 0]] of diag(lam, -lam).  The zero 1 x 1
-    blocks pair in order, first half with second half, so T = 0 gives the
-    identity.  The modes are then sorted by lam, descending and stably.
+    columns k and k + L of O, swapped when b < 0.  The zero 1 x 1 blocks pair
+    in order, first half with second half, so A = 0 gives the identity.
+    Certified in real arithmetic: |O^T O - I| <= ``TAU_STRUCT`` and
+    |O [[0, Lam], [-Lam, 0]] O^T - A| <= ``TAU_NUM`` times the scale of A.
     """
-    a = convert_basis(t, BasisTag.MAJORANA).entries.imag
     s, z = scipy.linalg.schur(a, output="real")
     starts = np.flatnonzero(np.diag(s, -1))
     b = (s[starts, starts + 1] - s[starts + 1, starts]) / 2
@@ -252,10 +248,24 @@ def block_reduce(t: HamiltonianMatrix) -> tuple[BogoliubovTransform, np.ndarray]
     order = np.argsort(-lam, kind="stable")
     lam = lam[order]
     o = z[:, np.concatenate([first[order], second[order]])]
-    u = convert_basis(BogoliubovTransform(entries=o, basis=BasisTag.MAJORANA), BasisTag.CREATION_ANNIHILATION)
-    u.validate()
-    tc = convert_basis(t, BasisTag.CREATION_ANNIHILATION).entries
-    res = _max_abs(u.entries.conj().T @ tc @ u.entries - np.diag(np.concatenate([lam, -lam])))
-    if res > TAU_NUM * _scale(tc):
+    res = _max_abs(o.T @ o - np.eye(len(a)))
+    if not res <= TAU_STRUCT:
+        raise NumericalFailure("normal-mode transform is not orthogonal", res)
+    upper = (o[:, : len(lam)] * lam) @ o[:, len(lam) :].T
+    res = _max_abs(upper - upper.T - a)
+    if not res <= TAU_NUM * _scale(a):
         raise NumericalFailure(f"block reduction residual {res:.3e} too large")
-    return u, lam
+    return o, lam
+
+
+def block_reduce(t: HamiltonianMatrix) -> tuple[BogoliubovTransform, np.ndarray]:
+    """Reduce a quadratic-Hamiltonian matrix to diag(Lambda, -Lambda).
+
+    Returns a Bogoliubov transform ``u`` (creation/annihilation basis) and the
+    vector ``lam`` of L nonnegative values sorted descending, with
+    u* T u = diag(lam, -lam): ``u`` is the transform ``_real_modes`` reads off
+    T = iA in the Majorana basis, where diag(lam, -lam) is [[0, lam], [-lam, 0]].
+    """
+    o, lam = _real_modes(convert_basis(t, BasisTag.MAJORANA).entries.imag)
+    u = BogoliubovTransform(entries=o, basis=BasisTag.MAJORANA)
+    return convert_basis(u, BasisTag.CREATION_ANNIHILATION), lam

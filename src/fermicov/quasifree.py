@@ -24,15 +24,14 @@ import scipy.linalg
 from .errors import StructureViolation, WordTooLong
 from .phase import (
     BasisTag,
-    BogoliubovTransform,
     HamiltonianMatrix,
     _as_matrix,
     _check_even_square,
     _check_hermitian,
     _check_particle_hole,
     _max_abs,
+    _real_modes,
     _tol,
-    block_reduce,
     convert_basis,
 )
 
@@ -113,23 +112,18 @@ def validate_small_covariance(entries) -> SmallCovarianceMatrix:
 def covariance_from_gibbs(t: HamiltonianMatrix, beta: float) -> CovarianceMatrix:
     """Covariance matrix (I + e^{-2 beta T})^{-1} of the Gibbs state of T.
 
-    Evaluated on the block reduction U* T U = diag(lam, -lam), whose exact
-    +-lam pairing gives a zero mode's particle and hole occupations that sum
-    to 1 at any beta, as ``eigh`` of T does not.  Overflow-free for any finite
-    beta.  Returned in the creation/annihilation basis.
+    With the normal modes O^T A O = [[0, Lam], [-Lam, 0]] of T = iA (Majorana
+    basis, ``_real_modes``), M = I/2 + iR, R = (O_1 tanh(beta Lam) O_2^T - transpose) / 2.
+    The exact +-lam pairing keeps a zero mode at 1/2, as ``eigh`` of T does not,
+    and tanh saturates at any finite beta.  Returned in the creation/annihilation basis.
     """
     if not np.isfinite(beta):
         raise StructureViolation("beta must be finite")
-    u, lam = block_reduce(t)
-    m = (u.entries * _logistic(2.0 * beta * np.r_[lam, -lam])) @ u.entries.conj().T
-    return validate_covariance(m, BasisTag.CREATION_ANNIHILATION)
-
-
-def _normal_modes(m: CovarianceMatrix) -> tuple[BogoliubovTransform, np.ndarray]:
-    """Block reduction (``block_reduce``) of M - I/2, read as iR from M = I/2 + iR
-    in the Majorana basis: u* (M - I/2) u = diag(lam, -lam), lam in [0, 1/2]."""
-    r = convert_basis(m, BasisTag.MAJORANA).entries.imag
-    return block_reduce(HamiltonianMatrix(entries=1j * r, basis=BasisTag.MAJORANA, mode_count=m.mode_count))
+    o, lam = _real_modes(convert_basis(t, BasisTag.MAJORANA).entries.imag)
+    with np.errstate(over="ignore"):  # beta lam = +-inf saturates tanh exactly
+        upper = (o[:, : t.mode_count] * np.tanh(beta * lam)) @ o[:, t.mode_count :].T
+    m = validate_covariance(0.5 * np.eye(len(o)) + 0.5j * (upper - upper.T), BasisTag.MAJORANA)
+    return convert_basis(m, BasisTag.CREATION_ANNIHILATION)
 
 
 def small_covariance_from_gibbs(t0, beta: float) -> SmallCovarianceMatrix:
@@ -139,15 +133,8 @@ def small_covariance_from_gibbs(t0, beta: float) -> SmallCovarianceMatrix:
     t0 = _as_matrix(t0)
     _check_hermitian(t0, "gauge-invariant one-body matrix", _tol(t0))
     w, v = scipy.linalg.eigh(t0)
-    return validate_small_covariance((v * _logistic(beta * w)) @ v.conj().T)
-
-
-def _logistic(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=float)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    out[~pos] = np.exp(x[~pos]) / (1.0 + np.exp(x[~pos]))
-    return out
+    with np.errstate(over="ignore"):  # beta w = +-inf saturates tanh exactly
+        return validate_small_covariance((v * (0.5 + 0.5 * np.tanh(beta * w / 2))) @ v.conj().T)
 
 
 def small_from_full(m: CovarianceMatrix) -> SmallCovarianceMatrix:

@@ -106,6 +106,15 @@ class TestCheck:
         assert report["ergodicity"]["unique_stationary"] is True
         assert report["ergodicity"]["kalman_rank"] == 10
 
+    def test_chain_preset_builds_at_huge_end_coupling(self, tmp_path):
+        # the closed form stays finite as long as the model does (theta^2 below ~1.8e308)
+        code, out, err = run_cli("model", "build", "two-bath-chain", "--set", "theta1=1e100")
+        assert (code, err) == (0, "")
+        code, out, err = run_cli("check", write_model(tmp_path, json.loads(out)))
+        assert (code, err) == (0, "")
+        code, out, err = run_cli("model", "build", "two-bath-chain", "--set", "theta1=1e160")
+        assert code == 1 and "drift or pump has non-finite entries" in err
+
     def test_star_preset_convergent_not_unique(self, tmp_path):
         code, out, _ = run_cli("model", "build", "star", "--set", "length=3")
         path = write_model(tmp_path, json.loads(out))
@@ -463,7 +472,7 @@ class TestBlocks:
 
 class TestCliDigest:
     def test_cli_output_is_pinned(self, capsys, monkeypatch):
-        """``tools/cli_digest.py`` over its 238 CLI cases.  The digest is
+        """``tools/cli_digest.py`` over its 241 CLI cases.  The digest is
         re-recorded, with a CHANGES.md line, only when CLI output changes on
         purpose.  It is tied to the environment it was recorded in (numpy
         2.4.6, scipy 1.17.1, OpenBLAS 0.3.31 on an x86-64 Xeon; the same at 1,
@@ -485,8 +494,8 @@ class TestCliDigest:
             " the last commit that passed, and re-record the digest only if the change is intended"
             " or the numpy, scipy or BLAS build differs from the one named in this test's docstring"
         )
-        assert capsys.readouterr().out == "238 cases, exit codes {0: 210, 1: 7, 2: 21}\n", advice
-        assert digest == "9f9c64b95b2549202370464023cb50c33f250c798399dbc11cd442c360a58ff4", advice
+        assert capsys.readouterr().out == "241 cases, exit codes {0: 212, 1: 8, 2: 21}\n", advice
+        assert digest == "86a7f0bd9f91191948b92cb58ebe5cfd6d73a1fd6eaeb843d0f4b3bcafe872d7", advice
 
 
 class TestObservables:

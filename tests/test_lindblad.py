@@ -1119,16 +1119,24 @@ class TestValidateOnce:
         assert validate_calls == {("_check_unit_spectrum", (1, 16, 16)): 2}
 
     @pytest.mark.parametrize("basis", [CA, MAJ])
-    def test_normal_modes_trust_the_covariance(self, validate_calls, basis):
-        # both block-reduce iR and build their Hamiltonians bare; only block_reduce's
-        # computed transform is checked
+    def test_normal_modes_trust_the_covariance(self, validate_calls, basis, monkeypatch):
+        # both read the normal modes of R off one certified real Schur form and build
+        # their results bare; no computed transform is validated again
+        import fermicov.fock
+        import fermicov.phase
         from fermicov import quasifree_state
 
+        def counted(a, _original=fermicov.phase._real_modes):
+            validate_calls["_real_modes"] += 1
+            return _original(a)
+
+        for module in (fermicov.phase, fermicov.fock):
+            monkeypatch.setattr(module, "_real_modes", counted)
         m = convert_basis(random_covariance(np.random.default_rng(24), 3), basis)
         validate_calls.clear()
         support_decomposition(m)
         quasifree_state(m)
-        assert validate_calls == {"BogoliubovTransform": 2}
+        assert validate_calls == {"_real_modes": 2}
 
     def test_lift_trusts_gauge_invariant_data(self, validate_calls):
         gi = two_bath_chain(ChainParams(length=4, theta1=1.0, theta_l=1.0, n1=1.0, n_l=0.0))[0]

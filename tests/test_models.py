@@ -110,6 +110,14 @@ class TestTwoBathChain:
         assert abs(pred.pL - n) < 1e-14
         assert pred.current == 0.0
 
+    @pytest.mark.parametrize("theta1", [1e78, 1e100, 1e150])
+    def test_prediction_stays_finite_at_huge_couplings(self, theta1):
+        # theta^4 overflows from about 1.2e77, the model itself only from about 1.3e154
+        for theta_l in (1.0, theta1):
+            _, pred = two_bath_chain(ChainParams(5, theta1, theta_l, 1.0, 0.2))
+            values = np.array([pred.p1, pred.pm, pred.pL, pred.current])
+            assert np.all(np.isfinite(values)) and np.all((values >= 0) & (values <= 1))
+
     @pytest.mark.parametrize("length", range(3, 21))
     def test_prediction_matches_solver(self, length):
         rng = np.random.default_rng(length)

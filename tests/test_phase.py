@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from fermicov import (
     BasisTag,
@@ -8,16 +9,19 @@ from fermicov import (
     StructureViolation,
     block_reduce,
     convert_basis,
+    covariance_from_gibbs,
     covariance_of,
     expm,
     quasifree_state,
+    support_decomposition,
     validate_coupling,
     validate_covariance,
     validate_qf,
 )
+from fermicov import phase
 from fermicov.phase import CouplingMatrix, _check_hermitian, _convert_entries
 
-from conftest import random_coupling, random_qf
+from conftest import random_coupling, random_covariance, random_qf
 
 CA = BasisTag.CREATION_ANNIHILATION
 MAJ = BasisTag.MAJORANA
@@ -252,6 +256,48 @@ class TestBlockReduce:
         m = validate_covariance(0.5 * np.eye(2 * L) + 0.4j * (a - a.T) / 2, MAJ)
         back = convert_basis(covariance_of(quasifree_state(m)), MAJ).entries
         assert np.abs(back - m.entries).max() < 1e-10
+
+
+class TestNormalModeCertificate:
+    """Every normal-mode reduction reads one certified real Schur form, so each
+    raises when that form is off by 1e-6.  A Schur vector moved towards another
+    mode's vector fails both checks.  On T = 0 and M = I/2 every mode is a zero
+    mode, so the reconstruction stays exact and only orthogonality catches the
+    moved vector; a Schur block off leaves the vectors orthogonal and only the
+    reconstruction catches it."""
+
+    REDUCTIONS = {
+        "block_reduce": lambda t, m: block_reduce(t),
+        "covariance_from_gibbs": lambda t, m: covariance_from_gibbs(t, 0.7),
+        "quasifree_state": lambda t, m: quasifree_state(m),
+        "support_decomposition": lambda t, m: support_decomposition(m),
+    }
+
+    @staticmethod
+    def _perturbed(kind, _schur=scipy.linalg.schur):
+        def schur(a, output="real"):
+            s, z = _schur(a, output=output)
+            if kind == "block":
+                return s * (1 + 1e-6), z
+            z = z.copy()
+            z[:, 0] += 1e-6 * z[:, 2]  # columns 0 and 1 hold one 2 x 2 block
+            return s, z
+
+        return schur
+
+    @pytest.mark.parametrize("name", sorted(REDUCTIONS))
+    @pytest.mark.parametrize("kind", ["vector", "zero-mode vector", "block"])
+    def test_an_off_schur_form_raises(self, monkeypatch, name, kind):
+        if kind == "zero-mode vector":
+            t, m = validate_qf(np.zeros((6, 6)), CA), validate_covariance(0.5 * np.eye(6), MAJ)
+        else:
+            rng = np.random.default_rng(70)
+            t, m = random_qf(rng, 3), random_covariance(rng, 3)
+        reduce = self.REDUCTIONS[name]
+        reduce(t, m)
+        monkeypatch.setattr(phase.scipy.linalg, "schur", self._perturbed(kind))
+        with pytest.raises(NumericalFailure):
+            reduce(t, m)
 
 
 class TestExpm:

@@ -96,6 +96,28 @@ class TestGibbsCovariance:
         assert np.sort(np.abs(eigs - 0.5))[2:] == pytest.approx(0.5, abs=1e-12)
 
 
+    @pytest.mark.parametrize("beta", [1e300, -1e300])
+    @pytest.mark.parametrize("length", [1, 3, 5, 7])
+    def test_extreme_beta_saturates_without_warnings(self, length, beta):
+        # warnings are errors here; the full covariance keeps its exact zero mode at 1/2
+        m = covariance_from_gibbs(_lift(chain_hamiltonian(length)), beta)
+        gaps = np.sort(np.abs(np.linalg.eigvalsh(m.entries) - 0.5))
+        assert gaps[:2] == pytest.approx([0.0, 0.0], abs=1e-12)
+        assert gaps[2:] == pytest.approx(0.5, abs=1e-12)
+        # eigh puts the small chain's zero mode at rounding level, not at 0, except at length 1
+        eigs = np.linalg.eigvalsh(small_covariance_from_gibbs(chain_hamiltonian(length), beta).entries)
+        assert np.abs(eigs - np.round(2 * eigs) / 2).max() < 1e-12
+        assert length > 1 or eigs[0] == 0.5
+
+
+    @pytest.mark.parametrize("beta", [1e300, -1e300])
+    def test_beta_times_mode_past_the_float_range_saturates(self, beta):
+        t0 = np.diag([1e10, -1e10])
+        occupied = np.diag([1.0, 0.0] if beta > 0 else [0.0, 1.0])
+        assert np.abs(small_covariance_from_gibbs(t0, beta).entries - occupied).max() == 0.0
+        assert np.abs(covariance_from_gibbs(_lift(t0), beta).entries[:2, :2] - occupied).max() < 1e-15
+
+
 @pytest.mark.parametrize("beta", [np.nan, np.inf, -np.inf])
 def test_gibbs_covariances_reject_non_finite_beta(beta):
     rng = np.random.default_rng(6)

@@ -22,6 +22,9 @@ each oracle model) must succeed, or the tool exits with an error.  The cases:
 * the stiff ``one-end-chain`` at theta = 1e3, 1e5 and 1e7, and
   ``thermalization`` at length 3 and beta = 1e7, whose chain has a zero mode,
   with the same commands (at theta = 1e5 the vacuum start exits 2 after one row);
+* ``two-bath-chain`` at theta1 = 1e100, built and checked, where theta1^4
+  overflows but the model does not, and at theta1 = 1e160, where the model
+  overflows and the build exits 1;
 * ``evolve`` on the default ``two-bath-chain`` from two ``--m0`` files: a
   Majorana-basis covariance whose real part is 1e-11 off I/2, and the same
   covariance in the creation/annihilation basis;
@@ -140,6 +143,11 @@ def cases(directory: str):
         for argv in _commands(path):
             code, out, err = _run(argv)
             yield mask(" ".join([label, *argv])), code, mask(out), mask(err)
+    label = "two-bath-chain theta1=1e100"
+    yield f"model build {label}", *_build(path, "two-bath-chain", ["--set", "theta1=1e100"])
+    code, out, err = _run(["check", path])
+    yield mask(f"{label} check {path}"), code, mask(out), mask(err)
+    yield "model build two-bath-chain theta1=1e160", *_build(path, "two-bath-chain", ["--set", "theta1=1e160"])
     _build_or_fail(path, "two-bath-chain", [])
     with mock.patch.object(fermicov.lindblad, "_majorana_flow", _mid_series_flow):
         code, out, err = _run(["evolve", path, "--m0", "mixed", "--t-final", "40", "--samples", "40"])
